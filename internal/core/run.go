@@ -189,9 +189,16 @@ func (m *Measurement) CI(f func(*Measurement) float64) Estimate {
 // resolution the Runner's memoization cache keys on: two Options with
 // equal canonical forms measure identically by construction.
 func Measure(w workloads.Workload, o Options) (*Measurement, error) {
+	m, _, err := measure(w, o)
+	return m, err
+}
+
+// measure is Measure that also returns the engine's result, whose
+// stepped/skipped cycle ledger the Measurement does not carry.
+func measure(w workloads.Workload, o Options) (*Measurement, *engine.Result, error) {
 	c := canonicalize(o)
 	if err := c.validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Run observation (no-op when disarmed): opened before workload
 	// startup so setup time is attributed, finished on every exit path.
@@ -201,7 +208,7 @@ func Measure(w workloads.Workload, o Options) (*Measurement, error) {
 
 	if c.cores > machine.Mem.TotalCores() ||
 		(!c.splitSockets && c.cores > machine.Mem.CoresPerSocket) {
-		return nil, fmt.Errorf("core: %d workload cores exceed the %s capacity (%d sockets x %d cores)",
+		return nil, nil, fmt.Errorf("core: %d workload cores exceed the %s capacity (%d sockets x %d cores)",
 			c.cores, machine.Name, machine.Mem.Sockets, machine.Mem.CoresPerSocket)
 	}
 
@@ -234,7 +241,7 @@ func Measure(w workloads.Workload, o Options) (*Measurement, error) {
 	if c.polluteBytes > 0 {
 		pcores, err := polluterCores(coreOf, machine.Mem)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		per := c.polluteBytes / uint64(len(pcores))
 		for i, pc := range pcores {
@@ -332,9 +339,9 @@ func Measure(w workloads.Workload, o Options) (*Measurement, error) {
 			// itself (its generators are already consumed), but
 			// MeasureBench re-measures a fresh instance on this tag.
 			o.Checkpoints.invalidate(ckptKey, cfg.Restore)
-			return nil, &restoreError{key: ckptKey, err: err}
+			return nil, nil, &restoreError{key: ckptKey, err: err}
 		}
-		return nil, err
+		return nil, nil, err
 	}
 	// Aggregate over the workload cores only: polluter cores are part of
 	// the machine but not of the measurement (Section 3.1 measures the
@@ -352,7 +359,7 @@ func Measure(w workloads.Workload, o Options) (*Measurement, error) {
 		agg.DRAMChannels = res.Total.DRAMChannels
 		m.Samples = append(m.Samples, IntervalSample{Counters: agg, WindowCycles: iv.Cycles})
 	}
-	return m, nil
+	return m, res, nil
 }
 
 // aggregateCores sums the counter blocks of the distinct workload cores

@@ -16,6 +16,8 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"cloudsuite/internal/obs"
 	"cloudsuite/internal/sim/bpred"
@@ -80,7 +82,10 @@ type RunConfig struct {
 	// timed window (the whole measurement in contiguous mode, one
 	// interval in sampled mode). Must be positive.
 	MeasureInsts int64
-	// MaxCycles bounds each timed window as a safety net (0 = no bound).
+	// MaxCycles bounds each timed window and each detailed-warming
+	// quantum as a safety net (0 = no bound). A run that reaches it fails
+	// with an error wrapping ErrCycleLimit rather than report a
+	// truncated window.
 	MaxCycles int64
 
 	// Intervals selects SMARTS-style interval sampling when >= 1: the
@@ -153,6 +158,11 @@ type RunConfig struct {
 	// in-line.
 	CheckInvariantsEvery int
 
+	// stepEveryCycle disables idle-cycle skipping: every core is stepped
+	// on every cycle. Tests use it as the reference the skipping loop
+	// must match counter for counter.
+	stepEveryCycle bool
+
 	// Obs, when non-nil, observes the run: wall time is attributed to
 	// phases (functional warming, detailed warming, timed windows,
 	// trace generation, checkpoint save/restore/replay) in the
@@ -196,20 +206,49 @@ type Result struct {
 	// Intervals holds the per-window deltas of a sampled run (nil in
 	// contiguous mode). Total and PerCore are their sums.
 	Intervals []IntervalResult
+	// SteppedCycles and SkippedCycles split Cycles by what the stepping
+	// loop did with each cycle: a stepped cycle ran at least one core's
+	// pipeline, a skipped one was jumped over because no core could act
+	// in it. SteppedCycles + SkippedCycles == Cycles.
+	SteppedCycles, SkippedCycles int64
 }
+
+// ErrCycleLimit is wrapped by the error Run returns when a timed window
+// or a detailed-warming quantum reaches RunConfig.MaxCycles.
+//
+//simlint:ok globalrand immutable sentinel error, compared with errors.Is
+var ErrCycleLimit = errors.New("engine: cycle limit reached")
+
+// readyWords sizes each context's ready bitmask; maxWindow, the largest
+// per-context window it holds, bounds ROB / contexts-per-core.
+const (
+	readyWords = 2
+	maxWindow  = 64 * readyWords
+)
+
+// never is the wake time of a core or context that waits on no clock.
+const never = int64(math.MaxInt64)
 
 const (
 	stWaiting uint8 = iota
 	stIssued
-	stDone
 )
 
+// entry is one window slot. An entry waits until its producers — the
+// in-window instructions its DepA/DepB name — have issued; from then on
+// readyAt, the latest of their completion cycles, is the first cycle it
+// may issue. Until then it sits on each unissued producer's consumer
+// list: waiters heads the list of an entry's consumers, and next links
+// an entry into the lists of its (at most two) producers. A list node is
+// slot<<1|dep + 1, so 0 ends a list.
 type entry struct {
 	inst    trace.Inst
 	doneAt  int64
+	readyAt int64
+	waiters int32
+	next    [2]int32
+	pending uint8 // producers not yet issued
 	status  uint8
-	offcore bool
-	l1Miss  bool
 }
 
 type context struct {
@@ -227,6 +266,13 @@ type context struct {
 	count   int
 	baseSeq int64 // dynamic seq of window head
 
+	// ready marks, by slot, the waiting entries whose producers have all
+	// issued: only they can issue, oldest first from head. minReady is a
+	// lower bound on the cycle at which any of them can issue; the issue
+	// stage skips the context while minReady lies in the future.
+	ready    [readyWords]uint64
+	minReady int64
+
 	fetchBlockedUntil int64
 	imissUntil        int64 // off-core or L2 instruction-stall window
 	redirectUntil     int64
@@ -242,9 +288,6 @@ type context struct {
 	// stream already sits on.
 	warmLine uint64
 	warmPage uint64
-	// target is the cumulative commit count that ends the current timed
-	// window for this context.
-	target uint64
 
 	// ro observes batch pulls: time inside gen.Next is carved out of
 	// the ambient phase and attributed to trace generation. Nil when
@@ -269,6 +312,11 @@ type core struct {
 	tlbBusy int64
 
 	nextCtx int // round-robin pointer for SMT fairness
+
+	// The stepping loop runs a core only on cycles it can act in: wake is
+	// the next such cycle and last the latest cycle already accounted in
+	// its counters (stepped, or idle and caught up in bulk).
+	wake, last int64
 }
 
 func (c *context) peek() (*trace.Inst, bool) {
@@ -294,21 +342,58 @@ func (c *context) peek() (*trace.Inst, bool) {
 
 func (c *context) advance() { c.bufPos++ }
 
-func (c *context) windowAt(i int) *entry { return &c.window[i%len(c.window)] }
+// slotOf returns the window slot of the in-window instruction with
+// dynamic sequence number seq. Windows need not be a power of two (the
+// scale-out core's 48-entry ROB gives 24-entry SMT windows), so the wrap
+// is a conditional subtract.
+func (c *context) slotOf(seq int64) int {
+	i := c.head + int(seq-c.baseSeq)
+	if i >= len(c.window) {
+		i -= len(c.window)
+	}
+	return i
+}
 
-// depReady reports whether the dependence at backward distance d from
-// the instruction about to occupy absolute index seq is satisfied.
-func (c *context) depReady(seq int64, d int32, now int64) bool {
-	if d == 0 {
-		return true
-	}
+// link records that the entry at slot, dynamic sequence seq, consumes
+// the value produced d instructions earlier, as its dependence k. A
+// committed or issued producer only bounds readyAt; an unissued one
+// takes the entry onto its consumer list.
+func (c *context) link(slot, k int, d int32, seq int64) {
 	p := seq - int64(d)
-	if p < c.baseSeq {
-		return true // producer already committed
+	if d == 0 || p < c.baseSeq {
+		return // no dependence, or producer already committed
 	}
-	idx := c.head + int(p-c.baseSeq)
-	e := c.windowAt(idx)
-	return e.status == stDone || (e.status == stIssued && e.doneAt <= now)
+	e, pe := &c.window[slot], &c.window[c.slotOf(p)]
+	if pe.status != stWaiting {
+		e.readyAt = max(e.readyAt, pe.doneAt)
+		return
+	}
+	e.next[k] = pe.waiters
+	pe.waiters = int32(slot<<1|k) + 1
+	e.pending++
+}
+
+// markReady adds the entry at slot, whose producers have all issued, to
+// the ready set.
+func (c *context) markReady(slot int) {
+	c.ready[slot>>6] |= 1 << (slot & 63)
+	c.minReady = min(c.minReady, c.window[slot].readyAt)
+}
+
+// wakeConsumers passes the completion cycle of the just-issued entry e to
+// every entry on its consumer list, readying those it was the last
+// unissued producer of.
+func (c *context) wakeConsumers(e *entry) {
+	for node := e.waiters; node != 0; {
+		slot, k := int(node-1)>>1, (node-1)&1
+		ce := &c.window[slot]
+		node = ce.next[k]
+		ce.readyAt = max(ce.readyAt, e.doneAt)
+		if ce.pending--; ce.pending == 0 {
+			c.markReady(slot)
+		}
+	}
+	e.waiters = 0
 }
 
 // Run simulates threads under cfg and returns the measured counters.
@@ -363,8 +448,12 @@ func Run(cfg RunConfig, threads []Thread) (*Result, error) {
 		if !ok {
 			continue
 		}
-		co := &core{id: id, cfg: cfg.Core, bp: bpred.New(bpred.DefaultConfig()), tlbs: tlb.NewHierarchy()}
 		winPer := cfg.Core.ROB / len(ts)
+		if winPer < 1 || winPer > maxWindow {
+			return nil, fmt.Errorf("engine: a %d-entry ROB shared by %d threads gives %d-entry windows; the issue stage holds 1 to %d per thread",
+				cfg.Core.ROB, len(ts), winPer, maxWindow)
+		}
+		co := &core{id: id, cfg: cfg.Core, bp: bpred.New(bpred.DefaultConfig()), tlbs: tlb.NewHierarchy()}
 		for _, ti := range ts {
 			t := threads[ti]
 			ctx := &context{
@@ -466,9 +555,15 @@ func Run(cfg RunConfig, threads []Thread) (*Result, error) {
 			// from steady-state pipeline state.
 			span := cfg.Obs.SpanStart()
 			prev := cfg.Obs.Enter(obs.PhaseDetailWarm)
-			clock = runQuantum(cores, mem, cfg, clock, uint64(cfg.DetailWarmInsts)*uint64(nMeasured))
+			var err error
+			if done := quantumCommitted(cores, uint64(cfg.DetailWarmInsts)*uint64(nMeasured)); !done() {
+				clock, _, err = stepCycles(cores, mem, cfg, clock, done)
+			}
 			cfg.Obs.Enter(prev)
 			cfg.Obs.SpanEnd("detail-warm", span)
+			if err != nil {
+				return nil, fmt.Errorf("detailed warming before window %d: %w", iv, err)
+			}
 		}
 		// Window stop condition. Contiguous mode preserves the paper's
 		// per-thread contract: the window ends when every measured thread
@@ -479,67 +574,30 @@ func Run(cfg RunConfig, threads []Thread) (*Result, error) {
 		// thread progress is uneven (e.g. split-socket runs) — the fast
 		// threads keep committing until the slowest reaches its budget,
 		// once per interval.
-		var quantumGoal uint64
 		for _, co := range cores {
 			snapshots[co.id] = *mem.Ctr(co.id)
-			for _, ctx := range co.ctxs {
-				ctx.target = ctx.committed + uint64(cfg.MeasureInsts)
-				if ctx.measured {
-					quantumGoal += ctx.committed
-				}
-			}
 		}
-		quantumGoal += uint64(cfg.MeasureInsts) * uint64(nMeasured)
+		done := budgetsCommitted(cores, uint64(cfg.MeasureInsts))
+		if cfg.Intervals >= 1 {
+			done = quantumCommitted(cores, uint64(cfg.MeasureInsts)*uint64(nMeasured))
+		}
 		mem.DRAMSetSpanStart(clock)
 		mem.DRAMResetQueues(clock)
 		dramBusyStart := mem.DRAMBusyCycles()
 
 		wspan := cfg.Obs.SpanStart()
 		wprev := cfg.Obs.Enter(windowPhase)
-		now := clock
-		start := now
-		active := true
-		for active {
-			now++
-			if cfg.MaxCycles > 0 && now-start > cfg.MaxCycles {
-				break
-			}
-			for _, co := range cores {
-				co.cycle(now, mem, cfg)
-			}
-			if cfg.Intervals >= 1 {
-				// Sampled window: stop once the aggregate quantum is
-				// committed (or every measured thread has drained).
-				var sum uint64
-				live := false
-				for _, co := range cores {
-					for _, ctx := range co.ctxs {
-						if ctx.measured {
-							sum += ctx.committed
-							if !ctx.drained() {
-								live = true
-							}
-						}
-					}
-				}
-				active = sum < quantumGoal && live
-			} else {
-				// Contiguous window: stop when every measured thread has
-				// committed its budget.
-				active = false
-				for _, co := range cores {
-					for _, ctx := range co.ctxs {
-						if ctx.measured && ctx.committed < ctx.target && !ctx.drained() {
-							active = true
-						}
-					}
-				}
-			}
-		}
+		start := clock
+		now, stepped, err := stepCycles(cores, mem, cfg, start, done)
 		cfg.Obs.Enter(wprev)
 		cfg.Obs.SpanEnd(windowSpan, wspan)
+		if err != nil {
+			return nil, fmt.Errorf("%s %d: %w", windowSpan, iv, err)
+		}
 		clock = now
 		res.Cycles += now - start
+		res.SteppedCycles += stepped
+		res.SkippedCycles += now - start - stepped
 
 		busy := mem.DRAMBusyCycles() - dramBusyStart
 		totalBusy += busy
@@ -585,49 +643,102 @@ func Run(cfg RunConfig, threads []Thread) (*Result, error) {
 	return res, nil
 }
 
-// runQuantum advances the detailed timing model from clock until the
-// measured threads commit an aggregate quantum of instructions (or all
-// drain, or the MaxCycles safety net trips) and returns the new clock.
-// Counter effects land in the live counter blocks; callers exclude them
-// by snapshotting afterwards.
-func runQuantum(cores []*core, mem *cache.System, cfg RunConfig, clock int64, quantum uint64) int64 {
-	var goal uint64
-	live := false
+// stepCycles advances the chip from cycle clock until done, consulted
+// after every stepped cycle, reports true, and returns that cycle and
+// how many cycles it stepped. Each cycle runs only the cores due in it,
+// in core-id order: a core whose pipeline cannot act before its wake
+// cycle sleeps, and its idle cycles are added to its counters in bulk
+// when it next steps and before returning, exactly as stepping them one
+// by one would have. done changes only when a core commits, so it cannot
+// flip inside a skipped span. Counter effects land in the live counter
+// blocks; callers delimit windows by snapshotting around the call. A
+// run of more than MaxCycles cycles fails with ErrCycleLimit on the
+// cycle the limit is first exceeded.
+func stepCycles(cores []*core, mem *cache.System, cfg RunConfig, clock int64, done func() bool) (now, stepped int64, err error) {
 	for _, co := range cores {
-		for _, ctx := range co.ctxs {
-			if ctx.measured {
-				goal += ctx.committed
-				if !ctx.drained() {
-					live = true
-				}
+		co.wake, co.last = clock+1, clock
+	}
+	for now = clock; ; {
+		next := never
+		for _, co := range cores {
+			next = min(next, co.wake)
+		}
+		if cfg.MaxCycles > 0 && next-clock > cfg.MaxCycles {
+			return 0, 0, fmt.Errorf("%w: no stop after %d cycles", ErrCycleLimit, cfg.MaxCycles)
+		}
+		if next == never {
+			return 0, 0, fmt.Errorf("engine: no core can make progress after cycle %d", now)
+		}
+		now = next
+		stepped++
+		for _, co := range cores {
+			if co.wake != now {
+				continue
+			}
+			co.catchUp(now-1, mem)
+			co.cycle(now, mem, cfg)
+			co.last = now
+			co.wake = now + 1
+			if !cfg.stepEveryCycle {
+				co.wake = co.nextWake(now)
 			}
 		}
-	}
-	goal += quantum
-	now, start := clock, clock
-	for active := live && quantum > 0; active; {
-		now++
-		if cfg.MaxCycles > 0 && now-start > cfg.MaxCycles {
+		if done() {
 			break
 		}
-		for _, co := range cores {
-			co.cycle(now, mem, cfg)
+	}
+	for _, co := range cores {
+		co.catchUp(now, mem)
+	}
+	return now, stepped, nil
+}
+
+// budgetsCommitted is the contiguous window's stop condition: every
+// measured thread has committed budget more instructions than it had at
+// the call, or drained.
+func budgetsCommitted(cores []*core, budget uint64) func() bool {
+	var targets []uint64
+	for _, co := range cores {
+		for _, ctx := range co.ctxs {
+			targets = append(targets, ctx.committed+budget)
 		}
-		var sum uint64
-		live = false
+	}
+	return func() bool {
+		i := 0
+		for _, co := range cores {
+			for _, ctx := range co.ctxs {
+				if ctx.measured && ctx.committed < targets[i] && !ctx.drained() {
+					return false
+				}
+				i++
+			}
+		}
+		return true
+	}
+}
+
+// quantumCommitted is the stop condition of a sampled window or a
+// detailed-warming quantum: the measured threads have committed quantum
+// more instructions in aggregate than they had at the call, or all have
+// drained.
+func quantumCommitted(cores []*core, quantum uint64) func() bool {
+	sum := func() (n uint64, live bool) {
 		for _, co := range cores {
 			for _, ctx := range co.ctxs {
 				if ctx.measured {
-					sum += ctx.committed
-					if !ctx.drained() {
-						live = true
-					}
+					n += ctx.committed
+					live = live || !ctx.drained()
 				}
 			}
 		}
-		active = sum < goal && live
+		return n, live
 	}
-	return now
+	goal, _ := sum()
+	goal += quantum
+	return func() bool {
+		n, live := sum()
+		return n >= goal || !live
+	}
 }
 
 // warmThread streams up to insts instructions of ctx through the
@@ -690,28 +801,124 @@ func (co *core) cycle(now int64, mem *cache.System, cfg RunConfig) {
 			ctr.CommitCyclesUser++
 		}
 	} else {
-		mode, empty := co.headMode()
-		if empty {
-			ctr.FetchStallCycles++
-		}
-		if mode {
-			ctr.StallCyclesOS++
-		} else {
-			ctr.StallCyclesUser++
-		}
+		co.stall(ctr, 1)
 	}
+	co.occupancy(ctr, now, 1)
+}
 
+// stall classifies k stalled cycles by the window head's mode.
+func (co *core) stall(ctr *counters.Counters, k uint64) {
+	mode, empty := co.headMode()
+	if empty {
+		ctr.FetchStallCycles += k
+	}
+	if mode {
+		ctr.StallCyclesOS += k
+	} else {
+		ctr.StallCyclesUser += k
+	}
+}
+
+// occupancy accounts the memory-system occupancy of k cycles from now,
+// over which it must not change.
+func (co *core) occupancy(ctr *counters.Counters, now int64, k uint64) {
 	// Memory cycles (Section 3.1): at least one off-core data request
 	// outstanding, instruction fetch stalled past the L1-I, or a TLB
 	// walk in progress.
 	if len(co.offcore) > 0 || co.tlbBusy > now || co.imissActive(now) {
-		ctr.MemCycles++
+		ctr.MemCycles += k
 	}
 	// Super-queue occupancy for MLP (Figure 3, right).
 	if n := len(co.superQ); n > 0 {
-		ctr.MLPSum += uint64(n)
-		ctr.MLPCycles++
+		ctr.MLPSum += uint64(n) * k
+		ctr.MLPCycles += k
 	}
+}
+
+// catchUp accounts the cycles after co.last up to and including to, in
+// which the core slept: nextWake guaranteed that in each of them the
+// core would have committed, issued and dispatched nothing, that no
+// miss would have expired, and that no TLB walk or instruction miss
+// would have ended. Every per-cycle counter is then the same in each of
+// those cycles, and so is everything cycle reads to derive them.
+func (co *core) catchUp(to int64, mem *cache.System) {
+	if to <= co.last {
+		return
+	}
+	k := uint64(to - co.last)
+	ctr := mem.Ctr(co.id)
+	ctr.Cycles += k
+	co.stall(ctr, k)
+	co.occupancy(ctr, co.last+1, k)
+	co.nextCtx += int(k) // commit advances it once per cycle
+	co.last = to
+}
+
+// nextWake returns the first cycle after now in which the core, left
+// untouched since stepping now, might do anything but stall: the
+// earliest of
+//
+//   - a window head completing (commit);
+//   - a ready entry's ready cycle, or a miss expiry freeing the super
+//     queue for a blocked load (issue, through minReady);
+//   - the front end's fetch stall or mispredict redirect ending, or now+1
+//     when it can fetch or dispatch (fetchWake);
+//   - a super-queue miss expiring (every off-core miss is in the super
+//     queue too), a TLB walk ending or an instruction miss ending, which
+//     change the memory-cycle and MLP accounting.
+//
+// A front end waiting on a full window, reservation stations, load or
+// store queue, or an unissued mispredicted branch is woken by the commit
+// or issue that frees it, so it adds no time of its own.
+func (co *core) nextWake(now int64) int64 {
+	t := never
+	for _, ctx := range co.ctxs {
+		t = min(t, ctx.minReady, co.fetchWake(ctx, now))
+		if ctx.count > 0 {
+			if h := &ctx.window[ctx.head]; h.status != stWaiting {
+				t = min(t, h.doneAt)
+			}
+		}
+		if ctx.imissUntil > now {
+			t = min(t, ctx.imissUntil)
+		}
+	}
+	for _, d := range co.superQ {
+		t = min(t, d)
+	}
+	if co.tlbBusy > now {
+		t = min(t, co.tlbBusy)
+	}
+	return max(t, now+1)
+}
+
+// fetchWake returns the first cycle after now in which ctx's front end
+// may fetch or dispatch, following frontend's checks in order, or never
+// when it waits on the back end or its stream has ended.
+func (co *core) fetchWake(ctx *context, now int64) int64 {
+	if t := max(ctx.fetchBlockedUntil, ctx.redirectUntil); t > now+1 {
+		return t
+	}
+	if ctx.pendingBranch >= 0 || ctx.count == len(ctx.window) || co.rsUsed >= co.cfg.RS {
+		return never
+	}
+	if ctx.bufPos == ctx.bufLen {
+		if ctx.eof {
+			return never
+		}
+		return now + 1 // the next peek pulls a batch from the generator
+	}
+	switch ctx.buf[ctx.bufPos].Op {
+	case trace.OpLoad:
+		if co.lqUsed >= co.cfg.LoadQ {
+			return never
+		}
+	case trace.OpStore:
+		if co.sqUsed >= co.cfg.StoreQ {
+			return never
+		}
+	}
+	return now + 1
 }
 
 func (co *core) imissActive(now int64) bool {
@@ -742,7 +949,7 @@ func (co *core) headMode() (kernel bool, windowEmpty bool) {
 		}
 		return false, true
 	}
-	return found.windowAt(found.head).inst.Kernel, false
+	return found.window[found.head].inst.Kernel, false
 }
 
 func (co *core) expireMisses(now int64) {
@@ -774,11 +981,7 @@ func (co *core) commit(now int64, mem *cache.System) (kernelMode bool, any bool)
 			if ctx.count == 0 {
 				continue
 			}
-			h := ctx.windowAt(ctx.head)
-			if h.status == stIssued && h.doneAt <= now {
-				h.status = stDone
-			}
-			if h.status == stDone {
+			if h := &ctx.window[ctx.head]; h.status == stIssued && h.doneAt <= now {
 				pick = ctx
 				break
 			}
@@ -786,7 +989,7 @@ func (co *core) commit(now int64, mem *cache.System) (kernelMode bool, any bool)
 		if pick == nil {
 			break
 		}
-		h := pick.windowAt(pick.head)
+		h := &pick.window[pick.head]
 		if h.inst.Op == trace.OpStore {
 			// Stores update the cache at retirement (store buffer drain).
 			mem.AccessData(co.id, h.inst.Addr, true, h.inst.Kernel, now)
@@ -819,71 +1022,117 @@ func (co *core) commit(now int64, mem *cache.System) (kernelMode bool, any bool)
 	return kernelMode, any
 }
 
-// issue wakes up to Width ready instructions and starts execution.
+// issue starts up to Width ready instructions, oldest first within a
+// context, visiting contexts round-robin.
 func (co *core) issue(now int64, mem *cache.System, ctr *counters.Counters) {
 	budget := co.cfg.Width
 	for i := 0; i < len(co.ctxs) && budget > 0; i++ {
 		ctx := co.ctxs[(co.nextCtx+i)%len(co.ctxs)]
-		if ctx.count == 0 {
-			continue
+		if ctx.minReady <= now {
+			budget = co.issueFrom(ctx, now, mem, ctr, budget)
 		}
-		idx := ctx.head
-		for n := 0; n < ctx.count && budget > 0; n++ {
-			e := ctx.windowAt(idx)
-			seq := ctx.baseSeq + int64(n)
-			idx++
-			if e.status != stWaiting {
+	}
+}
+
+// issueFrom walks ctx's ready set in age order — slots head..end, then
+// 0..head — starting every entry whose ready cycle has come, until
+// budget runs out, and returns the budget left. A load that finds the
+// super queue full is passed over, and younger entries still issue.
+// Each step re-reads the current bitmask word, so an entry readied by a
+// producer issued earlier in the walk is seen too. A complete walk
+// leaves minReady at the earliest cycle a remaining entry can issue.
+func (co *core) issueFrom(ctx *context, now int64, mem *cache.System, ctr *counters.Counters, budget int) int {
+	n := len(ctx.window)
+	next := never
+	blocked := false
+	for _, r := range [2][2]int{{ctx.head, n}, {0, ctx.head}} {
+		for lo, hi := r[0], r[1]; lo < hi; {
+			w := lo >> 6
+			end := (w + 1) << 6
+			word := ctx.ready[w] &^ (1<<(lo&63) - 1)
+			if hi < end {
+				word &= 1<<(hi&63) - 1
+			}
+			if word == 0 {
+				lo = end
 				continue
 			}
-			if !ctx.depReady(seq, e.inst.DepA, now) || !ctx.depReady(seq, e.inst.DepB, now) {
+			slot := w<<6 | bits.TrailingZeros64(word)
+			lo = slot + 1
+			if budget == 0 {
+				ctx.minReady = now + 1 // unvisited entries may be ready
+				return 0
+			}
+			e := &ctx.window[slot]
+			if e.readyAt > now {
+				next = min(next, e.readyAt)
 				continue
 			}
-			switch e.inst.Op {
-			case trace.OpLoad:
-				if len(co.superQ) >= co.cfg.MSHRs {
-					continue // super queue full: cannot start the miss
-				}
-				lat, tres := co.tlbs.TranslateD(e.inst.Addr)
-				if tres == tlb.Walk {
-					ctr.STLBMiss++
-					if end := now + int64(lat); end > co.tlbBusy {
-						co.tlbBusy = end
-					}
-				} else if tres == tlb.HitL2 {
-					ctr.DTLBMiss++
-				}
-				r := mem.AccessData(co.id, e.inst.Addr, false, e.inst.Kernel, now)
-				e.doneAt = r.Done + int64(lat)
-				e.l1Miss = r.L1Miss
-				e.offcore = r.OffCore
-				if r.L1Miss {
-					co.superQ = append(co.superQ, e.doneAt)
-				}
-				if r.OffCore {
-					co.offcore = append(co.offcore, e.doneAt)
-				}
-			case trace.OpStore:
-				// Address+data ready; completion is immediate (the write
-				// happens at retirement through the store buffer).
-				e.doneAt = now + 1
-			case trace.OpBranch:
-				e.doneAt = now + 1
-				if ctx.pendingBranch == seq {
-					ctx.redirectUntil = e.doneAt + int64(co.cfg.MispredictPenalty)
-					ctx.pendingBranch = -1
-				}
-			case trace.OpMul:
-				e.doneAt = now + int64(co.cfg.MulLatency)
-			case trace.OpFP:
-				e.doneAt = now + int64(co.cfg.FPLatency)
-			default:
-				e.doneAt = now + int64(co.cfg.ALULatency)
+			if e.inst.Op == trace.OpLoad && len(co.superQ) >= co.cfg.MSHRs {
+				blocked = true // super queue full: cannot start the miss
+				continue
 			}
-			e.status = stIssued
-			co.rsUsed--
+			co.start(ctx, e, slot, now, mem, ctr)
+			ctx.ready[w] &^= 1 << (slot & 63)
+			ctx.wakeConsumers(e)
 			budget--
 		}
 	}
+	if blocked {
+		// The queue stays full until its earliest miss expires.
+		for _, d := range co.superQ {
+			next = min(next, d)
+		}
+	}
+	ctx.minReady = next
+	return budget
+}
+
+// start issues the ready entry e, at window slot, and fixes its
+// completion cycle.
+func (co *core) start(ctx *context, e *entry, slot int, now int64, mem *cache.System, ctr *counters.Counters) {
+	switch e.inst.Op {
+	case trace.OpLoad:
+		lat, tres := co.tlbs.TranslateD(e.inst.Addr)
+		if tres == tlb.Walk {
+			ctr.STLBMiss++
+			if end := now + int64(lat); end > co.tlbBusy {
+				co.tlbBusy = end
+			}
+		} else if tres == tlb.HitL2 {
+			ctr.DTLBMiss++
+		}
+		r := mem.AccessData(co.id, e.inst.Addr, false, e.inst.Kernel, now)
+		e.doneAt = r.Done + int64(lat)
+		if r.L1Miss {
+			co.superQ = append(co.superQ, e.doneAt)
+		}
+		if r.OffCore {
+			co.offcore = append(co.offcore, e.doneAt)
+		}
+	case trace.OpStore:
+		// Address+data ready; completion is immediate (the write
+		// happens at retirement through the store buffer).
+		e.doneAt = now + 1
+	case trace.OpBranch:
+		e.doneAt = now + 1
+		off := slot - ctx.head
+		if off < 0 {
+			off += len(ctx.window)
+		}
+		if ctx.pendingBranch == ctx.baseSeq+int64(off) {
+			ctx.redirectUntil = e.doneAt + int64(co.cfg.MispredictPenalty)
+			ctx.pendingBranch = -1
+		}
+	case trace.OpMul:
+		e.doneAt = now + int64(co.cfg.MulLatency)
+	case trace.OpFP:
+		e.doneAt = now + int64(co.cfg.FPLatency)
+	default:
+		e.doneAt = now + int64(co.cfg.ALULatency)
+	}
+	e.status = stIssued
+	co.rsUsed--
 }
 
 // frontend fetches and dispatches up to Width instructions into the
@@ -948,10 +1197,18 @@ func (co *core) frontend(now int64, mem *cache.System, ctr *counters.Counters) {
 				}
 			}
 
-			// Dispatch into the window.
+			// Dispatch into the window, onto the consumer lists of its
+			// unissued producers or, if none, into the ready set.
 			slot := ctx.tail
-			e := ctx.windowAt(slot)
-			*e = entry{inst: *in, status: stWaiting}
+			seq := ctx.baseSeq + int64(ctx.count)
+			ctx.window[slot] = entry{inst: *in, status: stWaiting}
+			ctx.link(slot, 0, in.DepA, seq)
+			if in.DepB != in.DepA {
+				ctx.link(slot, 1, in.DepB, seq)
+			}
+			if ctx.window[slot].pending == 0 {
+				ctx.markReady(slot)
+			}
 			ctx.tail++
 			if ctx.tail >= len(ctx.window) {
 				ctx.tail -= len(ctx.window)
