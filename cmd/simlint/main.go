@@ -43,7 +43,7 @@ func main() {
 	versionFlag := flag.String("V", "", "print version (go command tool protocol)")
 	flagsFlag := flag.Bool("flags", false, "print analyzer flags in JSON (go vet protocol)")
 	suppressionsFlag := flag.Bool("suppressions", false,
-		"print the audit table of every //simlint:ok and //simlint:replay annotation under the argument directory (default .) and exit")
+		"print the audit table of every //simlint:ok annotation under the argument directory (default .) and exit")
 	enabled := map[string]*bool{}
 	for _, a := range analysis.All {
 		enabled[a.Name] = flag.Bool(a.Name, true, "enable the "+a.Name+" analyzer: "+firstLine(a.Doc))

@@ -62,8 +62,8 @@ func (q *queueWorkload) Start(n int, seed int64) []*trace.StepGen {
 }
 
 // SaveShared/LoadShared make the workload live-point capable: with
-// these (plus the thread SaveState below) a warm image restores by a
-// pure load instead of replaying the warmup instruction stream.
+// these (plus the thread SaveState below) a checkpoint store can fork
+// its runs from a warm image by a pure load. Without them it runs cold.
 func (q *queueWorkload) SaveShared(w *checkpoint.Writer) {
 	w.Tag("mq.shared")
 	q.kern.SaveState(w)

@@ -25,18 +25,18 @@ func saveAll(t *testing.T, st workloads.Stateful, gens []*trace.StepGen) *checkp
 	return w.Snapshot("roundtrip")
 }
 
-// TestWorkloadStateRoundTrip: for every scale-out workload,
+// TestWorkloadStateRoundTrip: for every registered workload,
 // save -> load-into-fresh-instance -> save must reproduce the state
 // bytes exactly. This is the workload-local contract behind pure-load
 // restore: if a field were dropped or restored approximately, the
 // second save would differ.
 func TestWorkloadStateRoundTrip(t *testing.T) {
 	const threads, seed = 4, 7
-	for _, b := range ScaleOut() {
+	for _, b := range AllBenches() {
 		w := b.New()
 		st, ok := w.(workloads.Stateful)
 		if !ok {
-			t.Errorf("%s: scale-out workload is not live-point capable", b.Name)
+			t.Errorf("%s: workload is not live-point capable", b.Name)
 			continue
 		}
 		gens := w.Start(threads, seed)
@@ -78,19 +78,20 @@ func TestWorkloadStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointReplayFlavorDifferential: the traditional-benchmark
-// proxies do not serialize their generator state, so their images use
-// the replay flavor — restore fast-forwards fresh generators through
-// the warm pull sequence. That path must stay byte-identical to cold
-// runs too.
-func TestCheckpointReplayFlavorDifferential(t *testing.T) {
-	for _, name := range []string{"SPECint (mcf)", "TPC-C"} {
+// TestCheckpointTraditionalForkDifferential: the traditional-benchmark
+// proxies are live-point capable too, so their forks restore by a pure
+// load and must stay byte-identical to cold runs. The set covers a
+// plain RNG-driven proxy (mcf), one carrying a cursor and a dependence
+// across steps (events), and both kernel-sharing kinds (SPECweb09 and
+// a database engine).
+func TestCheckpointTraditionalForkDifferential(t *testing.T) {
+	for _, name := range []string{"SPECint (mcf)", "SPECint (events)", "SPECweb09", "TPC-C"} {
 		b, ok := FindBench(name)
 		if !ok {
 			t.Fatalf("bench %q missing", name)
 		}
-		if _, live := b.New().(workloads.Stateful); live {
-			t.Fatalf("%s: expected a replay-flavor (non-Stateful) workload", name)
+		if _, live := b.New().(workloads.Stateful); !live {
+			t.Fatalf("%s: workload is not live-point capable", name)
 		}
 		o := diffOptions(1, false)
 
@@ -111,11 +112,47 @@ func TestCheckpointReplayFlavorDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		if mustJSON(t, forked) != mustJSON(t, cold) {
-			t.Fatalf("%s: replay-flavor fork differs from cold run", name)
+			t.Fatalf("%s: fork differs from cold run", name)
 		}
 		if s := store.Stats(); s.Saves != 1 || s.MemoryHits != 1 {
 			t.Fatalf("%s: store stats %+v, want 1 save and 1 memory hit", name, s)
 		}
+	}
+}
+
+// coldOnly hides every method of the wrapped workload but the Workload
+// interface, standing in for a user workload that cannot serialize.
+type coldOnly struct{ workloads.Workload }
+
+// TestCheckpointStoreSkipsNonStatefulWorkload: a workload that is not
+// live-point capable runs cold under a store, every time — it saves no
+// image, forks nothing, and measures exactly what a store-less run does.
+func TestCheckpointStoreSkipsNonStatefulWorkload(t *testing.T) {
+	b, ok := FindBench("SPECint (mcf)")
+	if !ok {
+		t.Fatal("bench SPECint (mcf) missing")
+	}
+	o := diffOptions(1, false)
+	want, err := Measure(coldOnly{b.New()}, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := NewCheckpointStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Checkpoints = store
+	for run := 0; run < 2; run++ {
+		got, err := Measure(coldOnly{b.New()}, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mustJSON(t, got) != mustJSON(t, want) {
+			t.Fatalf("run %d under a store differs from a store-less run", run)
+		}
+	}
+	if s := store.Stats(); s.Saves != 0 || s.MemoryHits != 0 || s.DiskHits != 0 {
+		t.Fatalf("store stats %+v, want no image saved or used", s)
 	}
 }
 

@@ -88,9 +88,11 @@ type Options struct {
 	// warm-state checkpoint store: the run forks from a cached warm
 	// image when one exists for this configuration's warm-relevant
 	// options, and contributes its own image otherwise (see
-	// CheckpointStore). Restored runs are byte-identical to cold runs,
-	// so this field is deliberately excluded from the Runner's
-	// memoization key — it changes wall-clock time, never results.
+	// CheckpointStore). Only a workloads.Stateful workload uses the
+	// store; any other runs cold. Restored runs are byte-identical to
+	// cold runs, so this field is deliberately excluded from the
+	// Runner's memoization key — it changes wall-clock time, never
+	// results.
 	//simlint:ok memokey restored runs are byte-identical to cold runs (differential-tested), so this changes wall-clock only
 	Checkpoints *CheckpointStore
 	// InvariantChecks, when positive, arms the coherence invariant
@@ -265,14 +267,6 @@ func measure(w workloads.Workload, o Options) (*Measurement, *engine.Result, err
 		CheckInvariantsEvery: o.InvariantChecks,
 		Obs:                  ro,
 	}
-	// Live-point capability: a workload that can serialize its shared
-	// structures upgrades checkpoints to the live flavor (pure-load
-	// restore, no warmup replay) — provided every thread generator is
-	// also serializable, which the engine verifies at save time.
-	if st, ok := w.(workloads.Stateful); ok {
-		cfg.SaveShared = st.SaveShared
-		cfg.LoadShared = st.LoadShared
-	}
 	if c.sampling.Enabled() {
 		// Sampled mode: N timed intervals of IntervalInsts each, every
 		// interval preceded by WarmInsts of functional warming. The
@@ -306,9 +300,14 @@ func measure(w workloads.Workload, o Options) (*Measurement, *engine.Result, err
 	// exists for this configuration's warm key, or capture one at the
 	// warm->measure boundary for later runs (and for concurrent runs
 	// waiting on this warm-up — the store is a mid-run singleflight).
+	// Images restore by a pure load, so only a live-point capable
+	// (workloads.Stateful) workload uses the store; any other runs cold,
+	// every time, with the same output.
 	var ckptKey string
 	warmSource := "cold"
-	if o.Checkpoints != nil {
+	if st, ok := w.(workloads.Stateful); ok && o.Checkpoints != nil {
+		cfg.SaveShared = st.SaveShared
+		cfg.LoadShared = st.LoadShared
 		ckptKey = checkpointKey(w.Name(), c)
 		snap, commit := o.Checkpoints.acquire(ckptKey)
 		if snap != nil {

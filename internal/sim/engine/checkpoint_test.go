@@ -12,8 +12,8 @@ import (
 )
 
 // mixedStream builds a looped stream with loads, stores, branches, and
-// kernel instructions so warming exercises the caches, TLBs, branch
-// predictor, prefetchers, and DRAM controllers.
+// kernel instructions. A LoopGen cannot serialize its state, so a run
+// over these streams cannot be checkpointed.
 func mixedStream(seed int64, span uint64, n int) trace.Generator {
 	rng := rand.New(rand.NewSource(seed))
 	insts := make([]trace.Inst, n)
@@ -44,9 +44,8 @@ func mixedStream(seed int64, span uint64, n int) trace.Generator {
 	return &trace.LoopGen{Insts: insts}
 }
 
-// twoSocketThreads builds a fresh, deterministic 2-socket thread set.
-// Threads share part of their address span so warming leaves directory
-// state (sharers, owners) behind for the snapshot to carry.
+// twoSocketThreads builds a fresh, deterministic 2-socket thread set of
+// non-serializable generators.
 func twoSocketThreads() []Thread {
 	return []Thread{
 		{Gen: mixedStream(1, 1<<22, 4096), Core: 0, Measured: true},
@@ -65,172 +64,6 @@ func twoSocketConfig() RunConfig {
 		WarmupInsts:  30_000,
 		MeasureInsts: 8_000,
 		MaxCycles:    20_000_000,
-	}
-}
-
-func TestCheckpointRestoreMatchesWarmRun(t *testing.T) {
-	cold, err := Run(twoSocketConfig(), twoSocketThreads())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var snap *checkpoint.Snapshot
-	cfg := twoSocketConfig()
-	cfg.Checkpoint = func(s *checkpoint.Snapshot) { snap = s }
-	cfg.CheckpointKey = "engine-test"
-	saved, err := Run(cfg, twoSocketThreads())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap == nil {
-		t.Fatal("Checkpoint callback never fired")
-	}
-	if snap.Key() != "engine-test" {
-		t.Fatalf("snapshot key = %q", snap.Key())
-	}
-	if !reflect.DeepEqual(cold, saved) {
-		t.Fatal("taking a checkpoint changed the measurement")
-	}
-
-	rcfg := twoSocketConfig()
-	rcfg.Restore = snap
-	restored, err := Run(rcfg, twoSocketThreads())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cold, restored) {
-		t.Fatalf("restored run differs from cold run:\ncold     = %+v\nrestored = %+v", cold.Total, restored.Total)
-	}
-}
-
-func TestCheckpointRestoreMatchesSampledRun(t *testing.T) {
-	sampled := func(c RunConfig) RunConfig {
-		c.Intervals = 3
-		c.IntervalWarmInsts = 4_000
-		c.DetailWarmInsts = 500
-		c.MeasureInsts = 2_000
-		return c
-	}
-
-	cold, err := Run(sampled(twoSocketConfig()), twoSocketThreads())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var snap *checkpoint.Snapshot
-	cfg := sampled(twoSocketConfig())
-	cfg.Checkpoint = func(s *checkpoint.Snapshot) { snap = s }
-	if _, err := Run(cfg, twoSocketThreads()); err != nil {
-		t.Fatal(err)
-	}
-
-	rcfg := sampled(twoSocketConfig())
-	rcfg.Restore = snap
-	restored, err := Run(rcfg, twoSocketThreads())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(restored.Intervals) != len(cold.Intervals) {
-		t.Fatalf("restored run has %d intervals, cold has %d", len(restored.Intervals), len(cold.Intervals))
-	}
-	if !reflect.DeepEqual(cold, restored) {
-		t.Fatal("restored sampled run differs from cold sampled run")
-	}
-}
-
-func TestCheckpointSnapshotIsDeterministic(t *testing.T) {
-	take := func() *checkpoint.Snapshot {
-		var snap *checkpoint.Snapshot
-		cfg := twoSocketConfig()
-		cfg.Checkpoint = func(s *checkpoint.Snapshot) { snap = s }
-		if _, err := Run(cfg, twoSocketThreads()); err != nil {
-			t.Fatal(err)
-		}
-		return snap
-	}
-	a, b := take(), take()
-	if a.Hash() != b.Hash() {
-		t.Fatal("identical warm runs produced different snapshot content hashes")
-	}
-}
-
-func TestRestoreRejectsMismatchedConfiguration(t *testing.T) {
-	var snap *checkpoint.Snapshot
-	cfg := twoSocketConfig()
-	cfg.Checkpoint = func(s *checkpoint.Snapshot) { snap = s }
-	if _, err := Run(cfg, twoSocketThreads()); err != nil {
-		t.Fatal(err)
-	}
-
-	// Warm budget mismatch.
-	bad := twoSocketConfig()
-	bad.WarmupInsts = 10_000
-	bad.Restore = snap
-	if _, err := Run(bad, twoSocketThreads()); err == nil || !strings.Contains(err.Error(), "warmed") {
-		t.Fatalf("warm-budget mismatch not rejected: %v", err)
-	}
-
-	// Machine geometry mismatch (different LLC size changes line counts).
-	bad = twoSocketConfig()
-	bad.Mem.LLC.SizeBytes = 6 << 20
-	bad.Restore = snap
-	if _, err := Run(bad, twoSocketThreads()); err == nil {
-		t.Fatal("LLC geometry mismatch not rejected")
-	}
-
-	// Thread-set mismatch (fewer active cores).
-	bad = twoSocketConfig()
-	bad.Restore = snap
-	if _, err := Run(bad, twoSocketThreads()[:2]); err == nil || !strings.Contains(err.Error(), "cores") {
-		t.Fatalf("core-count mismatch not rejected: %v", err)
-	}
-}
-
-// finiteThreads builds a thread set whose streams end after exactly n
-// instructions each (deterministic per seed).
-func finiteThreads(n int) []Thread {
-	take := func(seed int64) trace.Generator {
-		loop := mixedStream(seed, 1<<22, 4096).(*trace.LoopGen)
-		insts := make([]trace.Inst, n)
-		for i := range insts {
-			insts[i] = loop.Insts[i%len(loop.Insts)]
-		}
-		return &trace.SliceGen{Insts: insts}
-	}
-	return []Thread{
-		{Gen: take(1), Core: 0, Measured: true},
-		{Gen: take(2), Core: 1, Measured: true},
-	}
-}
-
-// TestReplayShortfallFailsRestore: a replay-flavor restore whose
-// generator stream ends before the warm point must fail with an error
-// reporting the shortfall — a short stream means the restored run would
-// measure a different execution than the one the image was taken from,
-// so it must never be passed off as a warm machine.
-func TestReplayShortfallFailsRestore(t *testing.T) {
-	cfg := twoSocketConfig()
-	cfg.WarmupInsts = 30_000
-	var snap *checkpoint.Snapshot
-	cfg.Checkpoint = func(s *checkpoint.Snapshot) { snap = s }
-	if _, err := Run(cfg, finiteThreads(50_000)); err != nil {
-		t.Fatal(err)
-	}
-	if snap == nil {
-		t.Fatal("Checkpoint callback never fired")
-	}
-
-	rcfg := twoSocketConfig()
-	rcfg.WarmupInsts = 30_000
-	rcfg.Restore = snap
-	_, err := Run(rcfg, finiteThreads(10_000))
-	if err == nil {
-		t.Fatal("restore with a short generator stream must fail, not silently diverge")
-	}
-	for _, want := range []string{"10000", "30000"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("shortfall error %q does not report %s", err, want)
-		}
 	}
 }
 
@@ -286,8 +119,10 @@ func (p *ctrProg) LoadState(rd *checkpoint.Reader) {
 	p.n = rd.U64()
 }
 
-// liveSetup builds a fresh shared state plus two StepGen threads, and a
-// config wired for live-flavor checkpoints.
+// liveSetup builds a fresh shared state plus four StepGen threads on
+// two sockets, and a config wired for checkpoints. The threads share
+// their address span, so warming leaves directory state (sharers,
+// owners) behind for the snapshot to carry.
 func liveSetup() (RunConfig, []Thread) {
 	s := newCtrShared()
 	mk := func(seed int64) *trace.StepGen {
@@ -299,6 +134,142 @@ func liveSetup() (RunConfig, []Thread) {
 	return cfg, []Thread{
 		{Gen: mk(11), Core: 0, Measured: true},
 		{Gen: mk(12), Core: 1, Measured: true},
+		{Gen: mk(13), Core: 6, Measured: true},
+		{Gen: mk(14), Core: 7, Measured: true},
+	}
+}
+
+func TestCheckpointRestoreMatchesWarmRun(t *testing.T) {
+	cold, err := Run(liveSetup())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var snap *checkpoint.Snapshot
+	cfg, threads := liveSetup()
+	cfg.Checkpoint = func(s *checkpoint.Snapshot) { snap = s }
+	cfg.CheckpointKey = "engine-test"
+	saved, err := Run(cfg, threads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap == nil {
+		t.Fatal("Checkpoint callback never fired")
+	}
+	if snap.Key() != "engine-test" {
+		t.Fatalf("snapshot key = %q", snap.Key())
+	}
+	if !reflect.DeepEqual(cold, saved) {
+		t.Fatal("taking a checkpoint changed the measurement")
+	}
+
+	rcfg, rthreads := liveSetup()
+	rcfg.Restore = snap
+	restored, err := Run(rcfg, rthreads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cold, restored) {
+		t.Fatalf("restored run differs from cold run:\ncold     = %+v\nrestored = %+v", cold.Total, restored.Total)
+	}
+}
+
+func TestCheckpointRestoreMatchesSampledRun(t *testing.T) {
+	sampled := func(c RunConfig, threads []Thread) (RunConfig, []Thread) {
+		c.Intervals = 3
+		c.IntervalWarmInsts = 4_000
+		c.DetailWarmInsts = 500
+		c.MeasureInsts = 2_000
+		return c, threads
+	}
+
+	cold, err := Run(sampled(liveSetup()))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var snap *checkpoint.Snapshot
+	cfg, threads := sampled(liveSetup())
+	cfg.Checkpoint = func(s *checkpoint.Snapshot) { snap = s }
+	if _, err := Run(cfg, threads); err != nil {
+		t.Fatal(err)
+	}
+
+	rcfg, rthreads := sampled(liveSetup())
+	rcfg.Restore = snap
+	restored, err := Run(rcfg, rthreads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(restored.Intervals) != len(cold.Intervals) {
+		t.Fatalf("restored run has %d intervals, cold has %d", len(restored.Intervals), len(cold.Intervals))
+	}
+	if !reflect.DeepEqual(cold, restored) {
+		t.Fatal("restored sampled run differs from cold sampled run")
+	}
+}
+
+func TestCheckpointSnapshotIsDeterministic(t *testing.T) {
+	take := func() *checkpoint.Snapshot {
+		var snap *checkpoint.Snapshot
+		cfg, threads := liveSetup()
+		cfg.Checkpoint = func(s *checkpoint.Snapshot) { snap = s }
+		if _, err := Run(cfg, threads); err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	a, b := take(), take()
+	if a.Hash() != b.Hash() {
+		t.Fatal("identical warm runs produced different snapshot content hashes")
+	}
+}
+
+func TestRestoreRejectsMismatchedConfiguration(t *testing.T) {
+	var snap *checkpoint.Snapshot
+	cfg, threads := liveSetup()
+	cfg.Checkpoint = func(s *checkpoint.Snapshot) { snap = s }
+	if _, err := Run(cfg, threads); err != nil {
+		t.Fatal(err)
+	}
+
+	// Warm budget mismatch.
+	bad, threads := liveSetup()
+	bad.WarmupInsts = 10_000
+	bad.Restore = snap
+	if _, err := Run(bad, threads); err == nil || !strings.Contains(err.Error(), "warmed") {
+		t.Fatalf("warm-budget mismatch not rejected: %v", err)
+	}
+
+	// Machine geometry mismatch (different LLC size changes line counts).
+	bad, threads = liveSetup()
+	bad.Mem.LLC.SizeBytes = 6 << 20
+	bad.Restore = snap
+	if _, err := Run(bad, threads); err == nil {
+		t.Fatal("LLC geometry mismatch not rejected")
+	}
+
+	// Thread-set mismatch (fewer active cores).
+	bad, threads = liveSetup()
+	bad.Restore = snap
+	if _, err := Run(bad, threads[:2]); err == nil || !strings.Contains(err.Error(), "cores") {
+		t.Fatalf("core-count mismatch not rejected: %v", err)
+	}
+}
+
+// TestCheckpointNeedsSerializableGenerators: a run asked to checkpoint
+// whose generators cannot save their state fails before warming
+// instead of writing an image it could not restore.
+func TestCheckpointNeedsSerializableGenerators(t *testing.T) {
+	cfg, _ := liveSetup()
+	fired := false
+	cfg.Checkpoint = func(*checkpoint.Snapshot) { fired = true }
+	_, err := Run(cfg, twoSocketThreads())
+	if err == nil || !strings.Contains(err.Error(), "cannot checkpoint") {
+		t.Fatalf("checkpointing non-serializable generators not rejected: %v", err)
+	}
+	if fired {
+		t.Fatal("Checkpoint callback fired for a run that cannot be checkpointed")
 	}
 }
 
@@ -341,8 +312,8 @@ func TestLiveImageRestoresByPureLoad(t *testing.T) {
 }
 
 // TestLiveImageNeedsLoader: restoring a live image into a run that
-// cannot load shared state must fail loudly, not fall through to a
-// replay that was never recorded.
+// cannot load shared state must fail loudly, not measure a machine
+// whose generators never reached the warm point.
 func TestLiveImageNeedsLoader(t *testing.T) {
 	var snap *checkpoint.Snapshot
 	saveCfg, saveThreads := liveSetup()

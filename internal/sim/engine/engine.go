@@ -113,21 +113,19 @@ type RunConfig struct {
 	// Checkpoint, when non-nil, is invoked once at the warm->measure
 	// boundary (after WarmupInsts of functional warming, before the
 	// first timed window) with a snapshot of the complete simulated-
-	// machine state — and, when SaveShared is set and every generator
-	// supports it, the complete generator state too (a "live" image
-	// that restores by a pure load). It is not invoked on restored
-	// runs. The callback runs on the simulation goroutine; a slow
-	// callback delays the measurement but cannot change its result.
+	// machine and generator state: a live image that restores by a pure
+	// load. Checkpointing needs SaveShared, LoadShared and serializable
+	// generators on every thread; a run without them fails before
+	// warming. It is not invoked on restored runs. The callback runs on
+	// the simulation goroutine; a slow callback delays the measurement
+	// but cannot change its result.
 	Checkpoint func(*checkpoint.Snapshot)
 	// SaveShared and LoadShared, when non-nil, serialize and restore
 	// the workload's shared structures (data-store contents, kernel
 	// state, allocator cursors — everything the per-thread generators
-	// reference but do not own). Setting SaveShared upgrades snapshots
-	// taken by this run to the live flavor if every thread's generator
-	// is also serializable; a live image restores without replaying
-	// any of the warmup instruction stream. LoadShared must accept
-	// exactly what SaveShared wrote (signatures match
-	// workloads.Stateful; errors flow through the Reader).
+	// reference but do not own). Checkpoint and Restore require both.
+	// LoadShared must accept exactly what SaveShared wrote (signatures
+	// match workloads.Stateful; errors flow through the Reader).
 	SaveShared func(*checkpoint.Writer)
 	LoadShared func(*checkpoint.Reader)
 	// CheckpointKey is the identity string recorded in snapshots taken
@@ -135,17 +133,11 @@ type RunConfig struct {
 	// configuration the image belongs to.
 	CheckpointKey string
 	// Restore, when non-nil, starts the run from the given warm
-	// snapshot instead of warming from cold. A live image restores by
-	// a pure load: machine state, workload shared state (via
-	// LoadShared), and every thread's generator state deserialize
-	// directly, with no instruction replay. A replay image instead
-	// fast-forwards the trace generators WarmupInsts per thread —
-	// re-running the workload deterministically so the emitters' RNG,
-	// stream positions, and all workload/OS-model state reach the warm
-	// point — while the machine state loads from the snapshot. The
-	// snapshot must come from a run with identical warm-relevant
-	// configuration (machine, threads, and WarmupInsts); mismatches —
-	// including a generator stream that ends before the warm point —
+	// snapshot instead of warming from cold, by a pure load: machine
+	// state, workload shared state (via LoadShared), and every thread's
+	// generator state deserialize directly, with no instruction replay.
+	// The snapshot must come from a run with identical warm-relevant
+	// configuration (machine, threads, and WarmupInsts); mismatches
 	// fail with an error. A restored run is byte-identical to the warm
 	// run it forked from.
 	Restore *checkpoint.Snapshot
@@ -165,7 +157,7 @@ type RunConfig struct {
 
 	// Obs, when non-nil, observes the run: wall time is attributed to
 	// phases (functional warming, detailed warming, timed windows,
-	// trace generation, checkpoint save/restore/replay) in the
+	// trace generation, checkpoint save/restore) in the
 	// observer's registry, and coarse spans land on the run's trace
 	// track. Observation is a pure observer — it reads the wall clock
 	// and writes only observer state, so an armed run is byte-identical
@@ -474,18 +466,12 @@ func Run(cfg RunConfig, threads []Thread) (*Result, error) {
 	// (cfg.Intervals >= 1) repeats the warm/measure alternation per
 	// interval; the contiguous mode is the one-window special case of
 	// the same loop, cycle-for-cycle identical to the pre-sampling
-	// engine. A restored run skips the machine side of warming entirely:
-	// generators fast-forward through the identical pull sequence and
-	// the warmed machine state loads from the snapshot.
+	// engine. A restored run skips warming entirely: the warmed machine
+	// and generator state load from the snapshot.
 	clock := int64(0)
 	if cfg.Restore != nil {
-		// Load the warm image instead of warming. The whole restore is
-		// ckpt_restore; only a replay-flavor image enters ckpt_replay
-		// (for its generator fast-forward), so live forks report
-		// ckpt_replay ~ 0. Metric attribution inside replay: generation
-		// lands in trace_gen (the carve-out in peek) — deliberately, so
-		// the breakdown shows that replay cost IS trace generation. The
-		// coarse spans are inclusive wall intervals.
+		// Load the warm image instead of warming; the whole restore is
+		// ckpt_restore.
 		span := cfg.Obs.SpanStart()
 		prev := cfg.Obs.Enter(obs.PhaseCkptRestore)
 		err := restoreRun(cfg.Restore, cfg, cores, mem, &clock)
@@ -495,6 +481,11 @@ func Run(cfg RunConfig, threads []Thread) (*Result, error) {
 			return nil, err
 		}
 	} else {
+		if cfg.Checkpoint != nil {
+			if err := checkSaveable(cfg, cores); err != nil {
+				return nil, fmt.Errorf("engine: cannot checkpoint: %w", err)
+			}
+		}
 		span := cfg.Obs.SpanStart()
 		prev := cfg.Obs.Enter(obs.PhaseFuncWarm)
 		for _, co := range cores {

@@ -515,10 +515,10 @@ type Initer interface {
 }
 
 // Stateful is implemented by programs whose complete per-thread state
-// can be serialized. When every thread of a workload is Stateful (and
-// the workload's shared structures serialize too), a warm image stores
-// the generator side of the machine and restore is a pure load with no
-// replay; otherwise the engine falls back to replay-based restore.
+// can be serialized. A warm image stores the generator side of the
+// machine, so a run can be checkpointed only when every thread is
+// Stateful (and the workload's shared structures serialize too);
+// restore is then a pure load with no replay.
 type Stateful interface {
 	SaveState(w *checkpoint.Writer)
 	LoadState(rd *checkpoint.Reader)
@@ -583,7 +583,7 @@ func (g *StepGen) CanSave() bool {
 
 // SaveState serializes the generator: progress flag, emitter, and the
 // program's own per-thread state. It panics if CanSave is false; the
-// engine checks eligibility before choosing the live format.
+// engine checks eligibility before warming a run it must checkpoint.
 func (g *StepGen) SaveState(w *checkpoint.Writer) {
 	w.Tag("stepgen")
 	w.Bool(g.done)

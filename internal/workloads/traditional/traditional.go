@@ -11,22 +11,22 @@
 // real B+tree engine with lock-mediated sharing. Fidelity notes per
 // workload are in DESIGN.md.
 //
-// These proxies intentionally do not implement the checkpoint Stateful
-// interfaces: they exercise the engine's replay-flavor warm images
-// (v2-compatible fast-forward restore), keeping that fallback path
-// honest while the scale-out workloads use live-point (pure-load)
-// images.
+// Every proxy is live-point capable (workloads.Stateful): a thread's
+// mutable state lives in its thread value and the only shared structure
+// a step mutates is the OS kernel model, so a warm image restores by a
+// pure load.
 package traditional
 
 import (
 	"cloudsuite/internal/addrspace"
 	"cloudsuite/internal/oskern"
 	"cloudsuite/internal/rng"
+	"cloudsuite/internal/sim/checkpoint"
 	"cloudsuite/internal/trace"
 	"cloudsuite/internal/workloads"
 )
 
-// kernelWorkload adapts per-thread step programs to the Workload
+// kernelWorkload adapts per-thread step functions to the Workload
 // interface.
 type kernelWorkload struct {
 	name    string
@@ -35,10 +35,14 @@ type kernelWorkload struct {
 	// main, when set, is the top-level function frame the thread loop
 	// runs in (emissions between explicit InFunc calls belong to it).
 	main *trace.Func
-	// prog builds one thread's step program. Construction runs at Start
-	// time in thread order, so shared-heap allocation order is
-	// deterministic in (n, seed).
-	prog func(tid int, seed int64) trace.Program
+	// kern, when set, is the OS model the threads share: each thread
+	// gets a connection on it. It is the only shared structure a step
+	// mutates; heaps, tables and indexes are laid out at construction.
+	kern *oskern.Kernel
+	// prog builds one thread's step function over the thread's state.
+	// Construction runs at Start time in thread order, so shared-heap
+	// allocation order is deterministic in (n, seed).
+	prog func(tid int, t *thread) func(e *trace.Emitter) bool
 }
 
 // Name implements workloads.Workload.
@@ -47,31 +51,84 @@ func (k *kernelWorkload) Name() string { return k.name }
 // Class implements workloads.Workload.
 func (k *kernelWorkload) Class() workloads.Class { return k.class }
 
-// mainProg pushes the workload's top-level frame before the wrapped
-// program's first step.
-type mainProg struct {
-	main *trace.Func
-	p    trace.Program
-}
-
-// Init implements trace.Initer.
-func (m *mainProg) Init(e *trace.Emitter) {
-	if m.main != nil {
-		e.Call(m.main)
-	}
-}
-
-// Step implements trace.Program.
-func (m *mainProg) Step(e *trace.Emitter) bool { return m.p.Step(e) }
-
 // Start implements workloads.Workload.
 func (k *kernelWorkload) Start(n int, seed int64) []*trace.StepGen {
 	gens := make([]*trace.StepGen, n)
 	for i := 0; i < n; i++ {
 		cfg := workloads.EmitterConfigFor(seed+int64(i)*6151, k.entropy)
-		gens[i] = trace.NewStepGen(cfg, &mainProg{main: k.main, p: k.prog(i, seed+int64(i))})
+		t := &thread{main: k.main, r: rng.New(seed + int64(i)), v: trace.NoVal}
+		if k.kern != nil {
+			t.conn = k.kern.OpenConnOn(i)
+		}
+		t.step = k.prog(i, t)
+		gens[i] = trace.NewStepGen(cfg, t)
 	}
 	return gens
+}
+
+// SaveShared implements workloads.Stateful.
+func (k *kernelWorkload) SaveShared(w *checkpoint.Writer) {
+	w.Tag("traditional.shared")
+	if k.kern != nil {
+		k.kern.SaveState(w)
+	}
+}
+
+// LoadShared implements workloads.Stateful.
+func (k *kernelWorkload) LoadShared(rd *checkpoint.Reader) {
+	rd.Expect("traditional.shared")
+	if k.kern != nil {
+		k.kern.LoadState(rd)
+	}
+}
+
+// thread is one proxy thread: everything its steps mutate, plus the
+// step function built over it. Construction-time values (array bases,
+// stacks, buffers) stay captured in the step closure; Start rebuilds
+// them identically.
+type thread struct {
+	main *trace.Func                 //simlint:ok checkpointcov construction-time code layout
+	step func(e *trace.Emitter) bool //simlint:ok checkpointcov construction-time closure over this thread
+	r    *rng.Rand
+	n    uint64       // step counter or sweep offset
+	cur  uint64       // object cursor or sweep centre
+	v    trace.Val    // dependence carried across steps
+	conn *oskern.Conn // nil unless the workload has a kernel
+}
+
+// Init implements trace.Initer: it pushes the workload's top-level
+// frame before the first step.
+func (t *thread) Init(e *trace.Emitter) {
+	if t.main != nil {
+		e.Call(t.main)
+	}
+}
+
+// Step implements trace.Program.
+func (t *thread) Step(e *trace.Emitter) bool { return t.step(e) }
+
+// SaveState implements trace.Stateful.
+func (t *thread) SaveState(w *checkpoint.Writer) {
+	w.Tag("traditional.thread")
+	t.r.SaveState(w)
+	w.U64(t.n)
+	w.U64(t.cur)
+	w.I64(int64(t.v))
+	if t.conn != nil {
+		t.conn.SaveState(w)
+	}
+}
+
+// LoadState implements trace.Stateful.
+func (t *thread) LoadState(rd *checkpoint.Reader) {
+	rd.Expect("traditional.thread")
+	t.r.LoadState(rd)
+	t.n = rd.U64()
+	t.cur = rd.U64()
+	t.v = trace.Val(rd.I64())
+	if t.conn != nil {
+		t.conn.LoadState(rd)
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -90,10 +147,10 @@ func NewSPECintBitops() workloads.Workload {
 	return &kernelWorkload{
 		name: "SPECint (bitops)", class: workloads.Desktop, entropy: 0.03,
 		main: fnMain,
-		prog: func(tid int, seed int64) trace.Program {
-			r := rng.New(seed)
+		prog: func(tid int, t *thread) func(e *trace.Emitter) bool {
+			r := t.r
 			tables := addrspace.NewArray(heap, 4096, 8) // 32KB, L1-resident, per copy
-			return trace.ProgFunc(func(e *trace.Emitter) bool {
+			return func(e *trace.Emitter) bool {
 				// Independent ALU bursts with occasional table lookups.
 				for it := 0; it < 64; it++ {
 					e.ALUIndep(24)
@@ -103,7 +160,7 @@ func NewSPECintBitops() workloads.Workload {
 					e.Branch(r.Intn(8) == 0, v)
 				}
 				return true
-			})
+			}
 		},
 	}
 }
@@ -117,13 +174,12 @@ func NewSPECintCompile() workloads.Workload {
 	return &kernelWorkload{
 		name: "SPECint (compile)", class: workloads.Desktop, entropy: 0.10,
 		main: code.Func("compile_main", 300),
-		prog: func(tid int, seed int64) trace.Program {
-			r := rng.New(seed)
+		prog: func(tid int, t *thread) func(e *trace.Emitter) bool {
+			r := t.r
 			ir := addrspace.NewArray(heap, 32<<10, 48) // 1.5MB of IR nodes per copy
 			stack := workloads.StackOf(tid)
-			unit := 0
-			return trace.ProgFunc(func(e *trace.Emitter) bool {
-				bank.Exec(e, uint64(unit)*2654435761, 10, 3400, stack, 2)
+			return func(e *trace.Emitter) bool {
+				bank.Exec(e, t.n*2654435761, 10, 3400, stack, 2)
 				// Walk a chain of IR nodes with short dependence chains.
 				idx := uint64(r.Intn(32 << 10))
 				var v trace.Val = trace.NoVal
@@ -133,9 +189,9 @@ func NewSPECintCompile() workloads.Workload {
 					idx = (idx*1103515245 + 12345) % (32 << 10)
 					e.Branch(n%5 == 0, v)
 				}
-				unit++
+				t.n++
 				return true
-			})
+			}
 		},
 	}
 }
@@ -149,12 +205,11 @@ func NewSPECintDP() workloads.Workload {
 	return &kernelWorkload{
 		name: "SPECint (dp)", class: workloads.Desktop, entropy: 0.02,
 		main: fn,
-		prog: func(tid int, seed int64) trace.Program {
+		prog: func(tid int, t *thread) func(e *trace.Emitter) bool {
 			row := addrspace.NewArray(heap, 3, 256<<10) // per-copy DP rows
-			r := 0
-			return trace.ProgFunc(func(e *trace.Emitter) bool {
+			return func(e *trace.Emitter) bool {
 				// One row sweep per step.
-				src, dst := row.At(uint64(r%3)), row.At(uint64((r+1)%3))
+				src, dst := row.At(t.n%3), row.At((t.n+1)%3)
 				for off := uint64(0); off < 256<<10; off += 64 {
 					a := e.Load(src+off, 64, trace.NoVal, false)
 					b := e.ALUChain(2, a)
@@ -162,9 +217,9 @@ func NewSPECintDP() workloads.Workload {
 					e.Store(dst+off, 64, b, c)
 					e.ALUIndep(4)
 				}
-				r++
+				t.n++
 				return true
-			})
+			}
 		},
 	}
 }
@@ -181,11 +236,11 @@ func NewSPECintMCF() workloads.Workload {
 	const nNodes = 24 << 10
 	return &kernelWorkload{
 		name: "SPECint (mcf)", class: workloads.Desktop, entropy: 0.12,
-		prog: func(tid int, seed int64) trace.Program {
-			r := rng.New(seed)
+		prog: func(tid int, t *thread) func(e *trace.Emitter) bool {
+			r := t.r
 			arcs := addrspace.NewArray(heap, nArcs, 64)
 			nodes := addrspace.NewArray(heap, nNodes, 64)
-			return trace.ProgFunc(func(e *trace.Emitter) bool {
+			return func(e *trace.Emitter) bool {
 				// Price-out pass: sequential over arcs, random node
 				// dereferences; arc iterations are independent (MLP).
 				e.InFunc(fnScan, func() {
@@ -209,7 +264,7 @@ func NewSPECintMCF() workloads.Workload {
 					}
 				})
 				return true
-			})
+			}
 		},
 	}
 }
@@ -224,23 +279,21 @@ func NewSPECintEvents() workloads.Workload {
 	return &kernelWorkload{
 		name: "SPECint (events)", class: workloads.Desktop, entropy: 0.15,
 		main: fn,
-		prog: func(tid int, seed int64) trace.Program {
-			r := rng.New(seed)
+		prog: func(tid int, t *thread) func(e *trace.Emitter) bool {
 			objs := addrspace.NewArray(heap, nObjs, 48)
-			cur := uint64(r.Intn(nObjs))
-			var v trace.Val = trace.NoVal
-			return trace.ProgFunc(func(e *trace.Emitter) bool {
+			t.cur = uint64(t.r.Intn(nObjs))
+			return func(e *trace.Emitter) bool {
 				for it := 0; it < 128; it++ {
 					// Pop event: heap root chase, then module graph walk.
-					v = e.Load(objs.At(cur), 16, v, true)
-					v = e.ALUChain(4, v)
-					cur = (cur*6364136223846793005 + 1442695040888963407) % nObjs
-					v = e.Load(objs.At(cur), 16, v, true)
-					e.Store(objs.At(cur), 8, v, trace.NoVal)
-					e.Branch(cur%3 == 0, v)
+					t.v = e.Load(objs.At(t.cur), 16, t.v, true)
+					t.v = e.ALUChain(4, t.v)
+					t.cur = (t.cur*6364136223846793005 + 1442695040888963407) % nObjs
+					t.v = e.Load(objs.At(t.cur), 16, t.v, true)
+					e.Store(objs.At(t.cur), 8, t.v, trace.NoVal)
+					e.Branch(t.cur%3 == 0, t.v)
 				}
 				return true
-			})
+			}
 		},
 	}
 }
@@ -257,17 +310,16 @@ func NewSPECintStream() workloads.Workload {
 	return &kernelWorkload{
 		name: "SPECint (stream)", class: workloads.Desktop, entropy: 0.01,
 		main: fn,
-		prog: func(tid int, seed int64) trace.Program {
+		prog: func(tid int, t *thread) func(e *trace.Emitter) bool {
 			reg := heap.AllocLines(regBytes)
-			off := uint64(0)
-			return trace.ProgFunc(func(e *trace.Emitter) bool {
-				for end := off + chunk; off < end; off += 64 {
-					v := e.Load(reg+off%regBytes, 64, trace.NoVal, false)
+			return func(e *trace.Emitter) bool {
+				for end := t.n + chunk; t.n < end; t.n += 64 {
+					v := e.Load(reg+t.n%regBytes, 64, trace.NoVal, false)
 					v = e.ALU(v, trace.NoVal)
-					e.Store(reg+off%regBytes, 64, v, trace.NoVal)
+					e.Store(reg+t.n%regBytes, 64, v, trace.NoVal)
 				}
 				return true
-			})
+			}
 		},
 	}
 }
@@ -296,11 +348,11 @@ func NewPARSECBlackscholes() workloads.Workload {
 	return &kernelWorkload{
 		name: "PARSEC (blackscholes)", class: workloads.Parallel, entropy: 0.01,
 		main: fn,
-		prog: func(tid int, seed int64) trace.Program {
+		prog: func(tid int, t *thread) func(e *trace.Emitter) bool {
 			// Each thread owns a contiguous slice of the options array
 			// (the benchmark's static partitioning: no write sharing).
 			base := uint64(tid) * (opts.Len / 8)
-			return trace.ProgFunc(func(e *trace.Emitter) bool {
+			return func(e *trace.Emitter) bool {
 				for i := uint64(0); i < 2048; i++ {
 					o := e.Load(opts.At((base+i)%opts.Len), 64, trace.NoVal, false)
 					// CNDF evaluation: a few dependent FP chains, but
@@ -312,7 +364,7 @@ func NewPARSECBlackscholes() workloads.Workload {
 					e.ALUIndep(6)
 				}
 				return true
-			})
+			}
 		},
 	}
 }
@@ -327,9 +379,9 @@ func NewPARSECSwaptions() workloads.Workload {
 	return &kernelWorkload{
 		name: "PARSEC (swaptions)", class: workloads.Parallel, entropy: 0.02,
 		main: fn,
-		prog: func(tid int, seed int64) trace.Program {
+		prog: func(tid int, t *thread) func(e *trace.Emitter) bool {
 			base := uint64(tid) * 512
-			return trace.ProgFunc(func(e *trace.Emitter) bool {
+			return func(e *trace.Emitter) bool {
 				var acc trace.Val = trace.NoVal
 				for s := uint64(0); s < 256; s++ {
 					v := e.Load(state.At((base+s)%state.Len), 64, trace.NoVal, false)
@@ -340,7 +392,7 @@ func NewPARSECSwaptions() workloads.Workload {
 				}
 				e.Store(state.At(base), 8, acc, trace.NoVal)
 				return true
-			})
+			}
 		},
 	}
 }
@@ -357,9 +409,9 @@ func NewPARSECCanneal() workloads.Workload {
 	return &kernelWorkload{
 		name: "PARSEC (canneal)", class: workloads.Parallel, entropy: 0.10,
 		main: fn,
-		prog: func(tid int, seed int64) trace.Program {
-			r := rng.New(seed)
-			return trace.ProgFunc(func(e *trace.Emitter) bool {
+		prog: func(tid int, t *thread) func(e *trace.Emitter) bool {
+			r := t.r
+			return func(e *trace.Emitter) bool {
 				for it := 0; it < 32; it++ {
 					// Pick two random elements and their neighbours: a burst
 					// of independent loads, then the cost computation and a
@@ -380,7 +432,7 @@ func NewPARSECCanneal() workloads.Workload {
 					e.ALUIndep(8)
 				}
 				return true
-			})
+			}
 		},
 	}
 }
@@ -399,22 +451,20 @@ func NewPARSECStreamcluster() workloads.Workload {
 	return &kernelWorkload{
 		name: "PARSEC (streamcluster)", class: workloads.Parallel, entropy: 0.02,
 		main: fn,
-		prog: func(tid int, seed int64) trace.Program {
-			off := uint64(0)
-			c := uint64(0)
-			return trace.ProgFunc(func(e *trace.Emitter) bool {
-				for end := off + chunk; off < end; off += 64 {
-					p := e.Load(pts+off%ptsBytes, 64, trace.NoVal, false)
-					ctr := e.Load(centers.At(c%centers.Len), 64, trace.NoVal, false)
+		prog: func(tid int, t *thread) func(e *trace.Emitter) bool {
+			return func(e *trace.Emitter) bool {
+				for end := t.n + chunk; t.n < end; t.n += 64 {
+					p := e.Load(pts+t.n%ptsBytes, 64, trace.NoVal, false)
+					ctr := e.Load(centers.At(t.cur%centers.Len), 64, trace.NoVal, false)
 					d := e.FP(p, ctr)
 					d = e.FPChain(2, d)
-					e.Branch(off%512 == 0, d)
+					e.Branch(t.n%512 == 0, d)
 				}
-				if off%ptsBytes == 0 {
-					c++
+				if t.n%ptsBytes == 0 {
+					t.cur++
 				}
 				return true
-			})
+			}
 		},
 	}
 }
@@ -449,13 +499,12 @@ func NewSPECweb() workloads.Workload {
 	return &kernelWorkload{
 		name: "SPECweb09", class: workloads.Server, entropy: 0.08,
 		main: code.Func("event_loop_main", 300),
-		prog: func(tid int, seed int64) trace.Program {
-			r := rng.New(seed)
-			conn := kern.OpenConnOn(tid)
+		kern: kern,
+		prog: func(tid int, t *thread) func(e *trace.Emitter) bool {
+			r, conn := t.r, t.conn
 			stack := workloads.StackOf(tid)
 			buf := heap.AllocLines(128 << 10)
-			reqs := 0
-			return trace.ProgFunc(func(e *trace.Emitter) bool {
+			return func(e *trace.Emitter) bool {
 				kern.Poll(e, conn)
 				kern.Recv(e, conn, buf, 400)
 				e.InFunc(fnParse, func() { workloads.GenericWork(e, 260, stack, 3) })
@@ -476,12 +525,12 @@ func NewSPECweb() workloads.Workload {
 					bank.Exec(e, r.Uint64(), 10, 1600, stack, 3)
 					kern.Send(e, conn, buf, 8<<10)
 				}
-				reqs++
-				if reqs%64 == 0 {
+				t.n++
+				if t.n%64 == 0 {
 					kern.SchedTick(e, tid)
 				}
 				return true
-			})
+			}
 		},
 	}
 }
@@ -554,16 +603,15 @@ func NewTPCC() workloads.Workload {
 	return &kernelWorkload{
 		name: "TPC-C", class: workloads.Server, entropy: 0.10,
 		main: code.Func("worker_loop", 400),
-		prog: func(tid int, seed int64) trace.Program {
-			r := rng.New(seed)
-			conn := d.kern.OpenConnOn(tid)
+		kern: d.kern,
+		prog: func(tid int, t *thread) func(e *trace.Emitter) bool {
+			r, conn := t.r, t.conn
 			stack := workloads.StackOf(tid)
 			buf := heap.AllocLines(8 << 10)
-			tx := 0
-			return trace.ProgFunc(func(e *trace.Emitter) bool {
+			return func(e *trace.Emitter) bool {
 				d.kern.Recv(e, conn, buf, 256)
 				e.InFunc(d.fnParse, func() { workloads.GenericWork(e, 420, stack, 2) })
-				d.bank.Exec(e, uint64(tx)*2654435761+uint64(tid), 26, 5200, stack, 2)
+				d.bank.Exec(e, t.n*2654435761+uint64(tid), 26, 5200, stack, 2)
 
 				// New-order: lock the district (hot, contended), probe
 				// customer, then a handful of items with stock updates.
@@ -587,19 +635,19 @@ func NewTPCC() workloads.Workload {
 				}
 				// WAL append and commit.
 				e.InFunc(d.fnLog, func() {
-					pos := (uint64(tx)*512 + uint64(tid)*64) % (16 << 20)
+					pos := (t.n*512 + uint64(tid)*64) % (16 << 20)
 					for off := uint64(0); off < 512; off += 64 {
 						e.Store(d.log+(pos+off)%(16<<20), 64, v, trace.NoVal)
 					}
 				})
 				e.InFunc(d.fnCommit, func() { workloads.GenericWork(e, 220, stack, 2) })
 				d.kern.Send(e, conn, buf, 512)
-				tx++
-				if tx%80 == 0 {
+				t.n++
+				if t.n%80 == 0 {
 					d.kern.SchedTick(e, tid)
 				}
 				return true
-			})
+			}
 		},
 	}
 }
@@ -615,17 +663,16 @@ func NewTPCE() workloads.Workload {
 	return &kernelWorkload{
 		name: "TPC-E", class: workloads.Server, entropy: 0.08,
 		main: code.Func("worker_loop", 400),
-		prog: func(tid int, seed int64) trace.Program {
-			r := rng.New(seed)
-			conn := d.kern.OpenConnOn(tid)
+		kern: d.kern,
+		prog: func(tid int, t *thread) func(e *trace.Emitter) bool {
+			r, conn := t.r, t.conn
 			stack := workloads.StackOf(tid)
 			buf := heap.AllocLines(8 << 10)
-			tx := 0
-			return trace.ProgFunc(func(e *trace.Emitter) bool {
+			return func(e *trace.Emitter) bool {
 				d.kern.Recv(e, conn, buf, 384)
 				e.InFunc(d.fnParse, func() { workloads.GenericWork(e, 600, stack, 2) })
 				e.InFunc(d.fnPlan, func() { workloads.GenericWork(e, 700, stack, 2) })
-				d.bank.Exec(e, uint64(tx)*40503+uint64(tid), 26, 3600, stack, 2)
+				d.bank.Exec(e, t.n*40503+uint64(tid), 26, 3600, stack, 2)
 
 				write := r.Intn(10) < 2
 				if write {
@@ -657,12 +704,12 @@ func NewTPCE() workloads.Workload {
 				}
 				e.InFunc(d.fnCommit, func() { workloads.GenericWork(e, 260, stack, 2) })
 				d.kern.Send(e, conn, buf, 2<<10)
-				tx++
-				if tx%80 == 0 {
+				t.n++
+				if t.n%80 == 0 {
 					d.kern.SchedTick(e, tid)
 				}
 				return true
-			})
+			}
 		},
 	}
 }
@@ -678,16 +725,15 @@ func NewWebBackend() workloads.Workload {
 	return &kernelWorkload{
 		name: "Web Backend", class: workloads.Server, entropy: 0.09,
 		main: code.Func("worker_loop", 400),
-		prog: func(tid int, seed int64) trace.Program {
-			r := rng.New(seed)
-			conn := d.kern.OpenConnOn(tid)
+		kern: d.kern,
+		prog: func(tid int, t *thread) func(e *trace.Emitter) bool {
+			r, conn := t.r, t.conn
 			stack := workloads.StackOf(tid)
 			buf := heap.AllocLines(8 << 10)
-			q := 0
-			return trace.ProgFunc(func(e *trace.Emitter) bool {
+			return func(e *trace.Emitter) bool {
 				d.kern.Recv(e, conn, buf, 256)
 				e.InFunc(d.fnParse, func() { workloads.GenericWork(e, 500, stack, 2) })
-				d.bank.Exec(e, uint64(q)*69621+uint64(tid), 18, 2200, stack, 2)
+				d.bank.Exec(e, t.n*69621+uint64(tid), 18, 2200, stack, 2)
 
 				// InnoDB-style shared metadata: auto-increment counters and
 				// table statistics touched on every query.
@@ -702,7 +748,7 @@ func NewWebBackend() workloads.Workload {
 					rowAddr, v := d.customers.probe(e, uint64(r.Int63()), trace.NoVal)
 					d.customers.writeRow(e, rowAddr, 192, v)
 					e.InFunc(d.fnLog, func() {
-						pos := uint64(q*256+tid*64) % (16 << 20)
+						pos := (t.n*256 + uint64(tid)*64) % (16 << 20)
 						for off := uint64(0); off < 256; off += 64 {
 							e.Store(d.log+(pos+off)%(16<<20), 64, v, trace.NoVal)
 						}
@@ -718,12 +764,12 @@ func NewWebBackend() workloads.Workload {
 				}
 				e.InFunc(d.fnCommit, func() { workloads.GenericWork(e, 180, stack, 2) })
 				d.kern.Send(e, conn, buf, 1<<10)
-				q++
-				if q%80 == 0 {
+				t.n++
+				if t.n%80 == 0 {
 					d.kern.SchedTick(e, tid)
 				}
 				return true
-			})
+			}
 		},
 	}
 }
