@@ -1,107 +1,75 @@
 // Command simlint runs the project's static-analysis suite
-// (internal/analysis): maporder, globalrand, checkpointcov, and
-// memokey — the vet-time enforcement of the determinism, checkpoint-
-// coverage, and memo-key contracts.
+// (internal/analysis) over the module: the eight analyzers maporder,
+// globalrand, checkpointcov, memokey, lockfield, atomicmix, obspure,
+// and clocktaint, which enforce the determinism, checkpoint-coverage,
+// memo-key, locking, and observer-purity contracts.
 //
 // Usage:
 //
-//	go run ./cmd/simlint ./...          # standalone over package patterns
-//	go vet -vettool=$(which simlint) ./...
-//	simlint -maporder ./...             # run a subset of analyzers
+//	go run ./cmd/simlint                # lint the module (run from its root)
 //	simlint -suppressions [dir]         # audit table of all annotations
 //
-// Standalone invocations re-exec through `go vet -vettool=<self>`, so
-// both entry points share one code path: the go command compiles the
-// packages, supplies export data for dependencies, and invokes this
-// binary once per package with a vet.cfg JSON file (the unpublished vet
-// driver protocol, implemented in unitchecker.go on the standard
-// library only). Selecting analyzer flags narrows the run: if any
-// analyzer flag is set true, only those analyzers run; -name=false
-// removes one from the full suite.
+// simlint loads every package of the module from source with one
+// analysis.Loader (non-test files, nested modules skipped as ./...
+// skips them) and runs the full suite on each.
 //
 // Exit status: 0 clean, 2 when diagnostics were reported, 1 on driver
 // errors.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"os/exec"
-	"strings"
 
 	"cloudsuite/internal/analysis"
 )
 
 func main() {
-	// The go command's tool handshake: `-V=full` must print a version
-	// line; content-hashing the executable makes go's action cache
-	// invalidate vet results whenever the analyzers change.
-	versionFlag := flag.String("V", "", "print version (go command tool protocol)")
-	flagsFlag := flag.Bool("flags", false, "print analyzer flags in JSON (go vet protocol)")
-	suppressionsFlag := flag.Bool("suppressions", false,
+	suppressions := flag.Bool("suppressions", false,
 		"print the audit table of every //simlint:ok annotation under the argument directory (default .) and exit")
-	enabled := map[string]*bool{}
-	for _, a := range analysis.All {
-		enabled[a.Name] = flag.Bool(a.Name, true, "enable the "+a.Name+" analyzer: "+firstLine(a.Doc))
-	}
 	flag.Parse()
-
-	switch {
-	case *versionFlag != "":
-		fmt.Printf("simlint version %s\n", selfID())
-		return
-	case *flagsFlag:
-		printFlagsJSON()
-		return
-	case *suppressionsFlag:
-		os.Exit(printSuppressions(flag.Args()))
+	if *suppressions {
+		root := "."
+		if flag.NArg() > 0 {
+			root = flag.Arg(0)
+		}
+		os.Exit(printSuppressions(root))
 	}
-
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runUnitchecker(args[0], selectAnalyzers(enabled)))
+	if flag.NArg() > 0 {
+		fmt.Fprintln(os.Stderr, "simlint: takes no package arguments; it lints the whole module from its root directory")
+		os.Exit(1)
 	}
-	os.Exit(runStandalone())
+	os.Exit(lint("."))
 }
 
-// selectAnalyzers applies vet's flag semantics: any analyzer flag
-// explicitly set true selects exactly the true set; otherwise the full
-// suite runs minus any explicitly disabled.
-func selectAnalyzers(enabled map[string]*bool) []*analysis.Analyzer {
-	explicitTrue := false
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) {
-		if _, ok := enabled[f.Name]; ok {
-			set[f.Name] = true
-			if *enabled[f.Name] {
-				explicitTrue = true
-			}
-		}
-	})
-	var out []*analysis.Analyzer
-	for _, a := range analysis.All {
-		switch {
-		case explicitTrue && *enabled[a.Name] && set[a.Name]:
-			out = append(out, a)
-		case !explicitTrue && *enabled[a.Name]:
-			out = append(out, a)
+// lint loads the module rooted at root and prints every diagnostic of
+// the suite.
+func lint(root string) int {
+	module, err := analysis.ModulePath(root)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "simlint: %v\n", err)
+		return 1
+	}
+	pkgs, err := analysis.NewLoader(root, module).LoadAll()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "simlint: %v\n", err)
+		return 1
+	}
+	status := 0
+	for _, pkg := range pkgs {
+		for _, d := range analysis.Run(pkg, analysis.All) {
+			fmt.Fprintf(os.Stderr, "%s: %s [%s]\n", pkg.Fset.Position(d.Pos), d.Message, d.Analyzer)
+			status = 2
 		}
 	}
-	return out
+	return status
 }
 
 // printSuppressions answers `simlint -suppressions [dir]`: the
-// purely-syntactic annotation audit (no type checking, no go command),
-// rendered as the markdown table DESIGN.md §8 embeds.
-func printSuppressions(args []string) int {
-	root := "."
-	if len(args) > 0 {
-		root = args[0]
-	}
+// purely-syntactic annotation audit (no type checking), rendered as the
+// markdown table DESIGN.md §8 embeds.
+func printSuppressions(root string) int {
 	sups, err := analysis.ListSuppressions(root)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "simlint: %v\n", err)
@@ -109,68 +77,4 @@ func printSuppressions(args []string) int {
 	}
 	fmt.Print(analysis.FormatSuppressions(sups))
 	return 0
-}
-
-// runStandalone re-executes as a go vet backend so package loading,
-// export data, and caching all come from the go command.
-func runStandalone() int {
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "simlint: %v\n", err)
-		return 1
-	}
-	args := append([]string{"vet", "-vettool=" + exe}, os.Args[1:]...)
-	cmd := exec.Command("go", args...)
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	cmd.Stdin = os.Stdin
-	if err := cmd.Run(); err != nil {
-		if ee, ok := err.(*exec.ExitError); ok {
-			return ee.ExitCode()
-		}
-		fmt.Fprintf(os.Stderr, "simlint: running go vet: %v\n", err)
-		return 1
-	}
-	return 0
-}
-
-// selfID returns a content hash of this executable for the go
-// command's tool-version cache key.
-func selfID() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:12])
-}
-
-// printFlagsJSON answers `simlint -flags`: the go vet flag handshake.
-func printFlagsJSON() {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var out []jsonFlag
-	for _, a := range analysis.All {
-		out = append(out, jsonFlag{Name: a.Name, Bool: true, Usage: firstLine(a.Doc)})
-	}
-	data, _ := json.Marshal(out)
-	fmt.Printf("%s\n", data)
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
 }

@@ -1,81 +1,47 @@
 // Command statefp fingerprints the simulator's checkpointed state
-// schema and gates it against the committed golden.
+// schema. Run it from the module root:
 //
 //	statefp            print the current schema
 //	statefp -write     regenerate the golden (after a Version bump)
-//	statefp -check     exit 1 if the schema drifted from the golden
 //
-// The gate enforces the checkpoint format contract statically: editing
-// any SaveState/LoadState type (or a struct nested inside one) changes
-// its fingerprint, and -check fails unless checkpoint.Version was
-// bumped and the golden regenerated in the same change. See
-// DESIGN.md §8.
+// The gate itself is TestRepoGolden in internal/analysis/statefp, part
+// of `go test ./...`: editing any SaveState/LoadState type (or a struct
+// nested inside one) changes its fingerprint, and the test fails unless
+// checkpoint.Version was bumped and the golden regenerated in the same
+// change. See DESIGN.md §8.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"cloudsuite/internal/analysis/statefp"
 )
 
 func main() {
-	root := flag.String("root", ".", "module root directory")
-	golden := flag.String("golden", filepath.Join("internal", "sim", "checkpoint", "testdata", "schema_golden.json"),
-		"golden schema path, relative to -root unless absolute")
-	write := flag.Bool("write", false, "regenerate the golden from the current tree")
-	check := flag.Bool("check", false, "fail if the current schema differs from the golden")
+	write := flag.Bool("write", false, "regenerate the golden ("+statefp.GoldenPath+") from the current tree")
 	flag.Parse()
 
-	goldenPath := *golden
-	if !filepath.IsAbs(goldenPath) {
-		goldenPath = filepath.Join(*root, goldenPath)
-	}
-
-	cur, err := statefp.Compute(*root)
+	cur, err := statefp.Compute(".")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "statefp:", err)
-		os.Exit(2)
+		fail(err)
 	}
-
-	switch {
-	case *write:
-		data, err := statefp.Marshal(cur)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "statefp:", err)
-			os.Exit(2)
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "statefp:", err)
-			os.Exit(2)
-		}
-		if err := os.WriteFile(goldenPath, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "statefp:", err)
-			os.Exit(2)
-		}
-		fmt.Printf("statefp: wrote %s (%d types, version %d)\n", goldenPath, len(cur.Types), cur.Version)
-	case *check:
-		old, err := statefp.Load(goldenPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "statefp:", err)
-			os.Exit(2)
-		}
-		problems := statefp.Diff(old, cur)
-		if len(problems) > 0 {
-			for _, p := range problems {
-				fmt.Fprintln(os.Stderr, "statefp:", p)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("statefp: schema matches golden (%d types, version %d)\n", len(cur.Types), cur.Version)
-	default:
-		data, err := statefp.Marshal(cur)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "statefp:", err)
-			os.Exit(2)
-		}
+	data, err := statefp.Marshal(cur)
+	if err != nil {
+		fail(err)
+	}
+	if !*write {
 		os.Stdout.Write(data)
+		return
 	}
+	if err := os.WriteFile(statefp.GoldenPath, data, 0o644); err != nil {
+		fail(err)
+	}
+	fmt.Printf("statefp: wrote %s (%d types, version %d)\n", statefp.GoldenPath, len(cur.Types), cur.Version)
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "statefp:", err)
+	os.Exit(2)
 }

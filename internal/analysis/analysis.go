@@ -1,18 +1,19 @@
 // Package analysis is the project's static-analysis suite (simlint):
-// four analyzers that enforce, at vet time, the contracts every result
-// in this repository rests on — bit-determinism of measurements
-// (serial == parallel), checkpoint field coverage (restore == cold),
-// and memo-key completeness (no cache aliasing between distinct
-// configurations).
+// eight analyzers that enforce the contracts every result in this
+// repository rests on — bit-determinism of measurements (serial ==
+// parallel: maporder, globalrand, clocktaint), checkpoint field
+// coverage (restore == cold: checkpointcov), memo-key completeness (no
+// cache aliasing between distinct configurations: memokey), lock and
+// atomic discipline (lockfield, atomicmix), and observer purity
+// (obspure).
 //
-// The analyzers run from cmd/simlint, both standalone
-// (go run ./cmd/simlint ./...) and as a `go vet -vettool` backend, so
-// CI enforces the contracts on every change. Each analyzer documents
-// the historical bug class that motivated it; the suite exists because
-// all three contract breaks to date (the StreamI randomized
-// map-iteration eviction, the DebugSharing package-global data race,
-// the negative-budget uint64-wrap hang) were mechanically detectable
-// and found late.
+// cmd/simlint loads the module from source with a Loader (load.go) and
+// runs the suite over every package, so CI enforces the contracts on
+// every change. Each analyzer documents the historical bug class that
+// motivated it; the suite exists because all three contract breaks to
+// date (the StreamI randomized map-iteration eviction, the DebugSharing
+// package-global data race, the negative-budget uint64-wrap hang) were
+// mechanically detectable and found late.
 //
 // The framework below is a deliberately small, dependency-free subset
 // of golang.org/x/tools/go/analysis: an Analyzer runs over one
@@ -71,8 +72,7 @@ type Diagnostic struct {
 }
 
 // A Package is the driver-side unit of work: one parsed and
-// type-checked package, however it was loaded (from a vet.cfg in
-// -vettool mode, or from source in tests).
+// type-checked package, as a Loader loads it (non-test files only).
 type Package struct {
 	Fset  *token.FileSet
 	Files []*ast.File
@@ -164,16 +164,10 @@ func cmdPackagePath(path string) bool {
 }
 
 // determinismScope is the scope of the determinism analyzers (maporder,
-// globalrand): the simulator proper plus the command packages.
+// globalrand, and clocktaint's raw clock-read rule): the simulator
+// proper plus the command packages.
 func determinismScope(path string) bool {
 	return simPackagePath(path) || cmdPackagePath(path)
-}
-
-// isTestFile reports whether the file at pos is a _test.go file; the
-// determinism analyzers cover non-test code only (tests may freely use
-// wall clocks, global randomness, and unordered iteration).
-func isTestFile(fset *token.FileSet, pos token.Pos) bool {
-	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }
 
 // receiverType resolves a method receiver expression to its named type,

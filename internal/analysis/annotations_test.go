@@ -16,12 +16,7 @@ func loadSrc(t *testing.T, path, src string) *Package {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
+	info := NewInfo()
 	conf := types.Config{}
 	pkg, err := conf.Check(path, fset, []*ast.File{f}, info)
 	if err != nil {

@@ -7,7 +7,7 @@ import (
 
 // This file builds the package-closure call graph the interprocedural
 // analyzers stand on. The unit of analysis is still one type-checked
-// package (the vettool protocol hands us exactly that), so the graph's
+// package (analysis.Run hands an analyzer exactly that), so the graph's
 // nodes are the package's own function and method declarations and its
 // edges are the statically-resolvable calls between them: direct calls
 // to package-level functions, method calls whose receiver has a named
@@ -45,8 +45,7 @@ type callGraph struct {
 }
 
 // buildCallGraph constructs the package-closure call graph for the
-// pass's files. Test files are excluded: the analyzers built on the
-// graph cover non-test code only.
+// pass's files (non-test files only: the Loader never loads tests).
 func buildCallGraph(pass *Pass) *callGraph {
 	cg := &callGraph{
 		nodes:  map[*types.Func]*funcNode{},
@@ -55,9 +54,6 @@ func buildCallGraph(pass *Pass) *callGraph {
 	// First pass: index every declaration so edges can resolve forward
 	// references.
 	for _, f := range pass.Files {
-		if isTestFile(pass.Fset, f.Pos()) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok {

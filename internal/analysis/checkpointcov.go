@@ -35,9 +35,6 @@ func runCheckpointCov(pass *Pass) error {
 	methods := map[*types.TypeName]map[string]*ast.FuncDecl{}
 	freeFuncs := map[string]*ast.FuncDecl{}
 	for _, f := range pass.Files {
-		if isTestFile(pass.Fset, f.Pos()) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok {

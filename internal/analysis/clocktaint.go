@@ -3,14 +3,24 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
-// ClockTaint upgrades the wall-clock half of globalrand from call-site
-// matching to taint tracking. globalrand flags the time.Now() call
-// itself; this analyzer follows the value — through helper returns,
-// struct fields, arithmetic, and conversions (the interprocedural taint
-// engine in dataflow.go) — and reports only where it reaches a place
-// that makes the simulation nondeterministic:
+// ClockTaint owns the wall-clock rules, at two depths:
+//
+//   - raw reads: every time.Now, time.Since, or time.Until call in
+//     non-test code of the determinism scope (simulator and command
+//     packages, internal/obs included) is reported. Simulated time lives
+//     in the engine's cycle counters; internal/obs is the audited clock
+//     boundary, so each raw read there carries a reviewed
+//     //simlint:ok clocktaint suppression.
+//   - laundered values: in simulator packages (internal/obs excluded),
+//     the value of any clock read is followed — through helper returns,
+//     struct fields, arithmetic, and conversions (the interprocedural
+//     taint engine in dataflow.go) — and reported where it reaches a
+//     sink that makes the simulation nondeterministic.
+//
+// The sinks are:
 //
 //   - a seed argument of a math/rand generator constructor
 //     (rand.NewSource(someField) where someField once held
@@ -23,26 +33,40 @@ import (
 //   - a map index: a wall-clock-derived cache or memo key aliases or
 //     misses differently per process.
 //
-// Sources are time.Now/Since/Until plus the sanctioned boundary —
+// Taint sources are time.Now/Since/Until plus the sanctioned boundary —
 // obs.Now, obs.Since, and obs methods returning time.Time/Duration
 // (RunObs.Finish). The boundary functions are *allowed* reads (that is
 // the point of internal/obs); what stays forbidden is their value
 // steering simulation behavior, which is exactly the sink set above.
-// internal/obs itself is out of scope: it is the audited clock edge,
-// and every raw read there already carries a //simlint:ok globalrand.
 var ClockTaint = &Analyzer{
 	Name: "clocktaint",
-	Doc:  "taint-tracks wall-clock reads into rand seeds, checkpointed state, control flow, and map keys",
+	Doc:  "flags raw wall-clock reads and taint-tracks clock values into rand seeds, checkpointed state, control flow, and map keys",
 	Run:  runClockTaint,
 }
 
 func runClockTaint(pass *Pass) error {
+	if !determinismScope(pass.Pkg.Path()) {
+		return nil
+	}
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			// Every use, called or taken as a function value; raw reads
+			// only, since the obs boundary's sources are sanctioned.
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if src := clockSource(pass, sel); src != nil && strings.HasPrefix(src.desc, "time.") {
+					pass.Reportf(src.pos,
+						"%s reads the wall clock; simulated time lives in cycle counters (determinism contract)", src.desc)
+				}
+			}
+			return true
+		})
+	}
 	if !simStatePath(pass.Pkg.Path()) {
 		return nil
 	}
 	cg := buildCallGraph(pass)
 	eng := newTaintEngine(pass, cg, func(call *ast.CallExpr) *taintSource {
-		return clockSource(pass, call)
+		return clockSource(pass, call.Fun)
 	})
 	ckptFields := checkpointedFields(pass)
 
@@ -114,11 +138,11 @@ func reportClockCond(pass *Pass, eng *taintEngine, cond ast.Expr) {
 	}
 }
 
-// clockSource classifies a call as a wall-clock read: the time package's
-// Now/Since/Until, the obs boundary's Now/Since, or an obs method
-// returning time.Time/time.Duration.
-func clockSource(pass *Pass, call *ast.CallExpr) *taintSource {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+// clockSource classifies a callee expression as a wall-clock read: the
+// time package's Now/Since/Until, the obs boundary's Now/Since, or an
+// obs method returning time.Time/time.Duration.
+func clockSource(pass *Pass, fun ast.Expr) *taintSource {
+	sel, ok := ast.Unparen(fun).(*ast.SelectorExpr)
 	if !ok {
 		return nil
 	}

@@ -5,8 +5,8 @@ import (
 	"go/types"
 )
 
-// GlobalRand flags ambient nondeterminism and package-global mutable
-// state in non-test simulator code:
+// GlobalRand flags process-global randomness and package-global
+// mutable state in non-test simulator code:
 //
 //   - calls through math/rand's (or math/rand/v2's) top-level
 //     process-global generator (rand.Intn, rand.Float64, rand.Seed,
@@ -16,9 +16,6 @@ import (
 //     Runner would interleave draws. Constructors (rand.New,
 //     rand.NewSource, rand.NewZipf) are allowed — they are how the
 //     seeded per-run generators get built.
-//   - time.Now, time.Since, time.Until: wall-clock reads cannot appear
-//     in measured paths; simulated time lives in the engine's cycle
-//     counters.
 //   - new package-level `var` declarations: mutable state must live in
 //     the System/engine object so concurrent simulations cannot share
 //     it. The historical instance: DebugSharing was a package-level map
@@ -28,7 +25,7 @@ import (
 //     lookup table written once) carry //simlint:ok globalrand <reason>.
 var GlobalRand = &Analyzer{
 	Name: "globalrand",
-	Doc:  "flags process-global randomness, wall-clock reads, and package-level mutable state in simulator packages",
+	Doc:  "flags process-global randomness and package-level mutable state in simulator packages",
 	Run:  runGlobalRand,
 }
 
@@ -47,9 +44,6 @@ func runGlobalRand(pass *Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		if isTestFile(pass.Fset, f.Pos()) {
-			continue
-		}
 		// Package-level vars.
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
@@ -71,7 +65,7 @@ func runGlobalRand(pass *Pass) error {
 				}
 			}
 		}
-		// Uses of forbidden functions.
+		// Uses of the process-global generator.
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
@@ -84,20 +78,10 @@ func runGlobalRand(pass *Pass) error {
 			if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
 				return true // methods (e.g. (*rand.Rand).Intn) are fine
 			}
-			switch fn.Pkg().Path() {
-			case "math/rand", "math/rand/v2":
-				if !globalRandAllowed[fn.Name()] {
-					pass.Reportf(sel.Pos(),
-						"%s.%s uses the process-global generator; draw from a seeded per-run *rand.Rand instead (determinism contract)",
-						fn.Pkg().Name(), fn.Name())
-				}
-			case "time":
-				switch fn.Name() {
-				case "Now", "Since", "Until":
-					pass.Reportf(sel.Pos(),
-						"time.%s reads the wall clock; simulated time lives in cycle counters (determinism contract)",
-						fn.Name())
-				}
+			if p := fn.Pkg().Path(); (p == "math/rand" || p == "math/rand/v2") && !globalRandAllowed[fn.Name()] {
+				pass.Reportf(sel.Pos(),
+					"%s.%s uses the process-global generator; draw from a seeded per-run *rand.Rand instead (determinism contract)",
+					fn.Pkg().Name(), fn.Name())
 			}
 			return true
 		})

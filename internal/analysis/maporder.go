@@ -37,9 +37,6 @@ func runMapOrder(pass *Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		if isTestFile(pass.Fset, f.Pos()) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			rng, ok := n.(*ast.RangeStmt)
 			if !ok {

@@ -35,9 +35,6 @@ func runMemoKey(pass *Pass) error {
 	var optionsTN *types.TypeName
 	funcs := map[string]*ast.FuncDecl{} // package-level functions by name
 	for _, f := range pass.Files {
-		if isTestFile(pass.Fset, f.Pos()) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:

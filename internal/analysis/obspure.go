@@ -76,9 +76,6 @@ func runObsPure(pass *Pass) error {
 // packages.
 func runObsSide(pass *Pass) error {
 	for _, f := range pass.Files {
-		if isTestFile(pass.Fset, f.Pos()) {
-			continue
-		}
 		for _, imp := range f.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
 			if err != nil {
@@ -188,9 +185,6 @@ func reachableEntry(node *funcNode) string {
 // through the nil-safe handle API.
 func runSimSide(pass *Pass) error {
 	for _, f := range pass.Files {
-		if isTestFile(pass.Fset, f.Pos()) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {

@@ -30,11 +30,16 @@ import (
 	"os"
 	"sort"
 	"strings"
+
+	"cloudsuite/internal/analysis"
 )
 
 // versionPackage is the module-relative package whose Version constant
 // names the checkpoint format revision.
 const versionPackage = "internal/sim/checkpoint"
+
+// GoldenPath is the module-relative path of the committed schema golden.
+const GoldenPath = "internal/sim/checkpoint/testdata/schema_golden.json"
 
 // Schema is the full state-schema snapshot: the checkpoint format
 // version plus one fingerprint per checkpointed type.
@@ -56,20 +61,21 @@ type TypeSchema struct {
 // Compute loads the module rooted at root and fingerprints every
 // checkpointed type in it.
 func Compute(root string) (*Schema, error) {
-	l, err := newLoader(root)
+	module, err := analysis.ModulePath(root)
 	if err != nil {
 		return nil, err
 	}
-	pkgs, err := l.loadAll()
+	l := analysis.NewLoader(root, module)
+	pkgs, err := l.LoadAll()
 	if err != nil {
 		return nil, err
 	}
 	s := &Schema{Types: map[string]TypeSchema{}}
-	if ver, ok := checkpointVersion(l); ok {
+	if ver, ok := checkpointVersion(l, module); ok {
 		s.Version = ver
 	}
-	for _, info := range pkgs {
-		scope := info.pkg.Scope()
+	for _, pkg := range pkgs {
+		scope := pkg.Pkg.Scope()
 		names := scope.Names()
 		sort.Strings(names)
 		for _, name := range names {
@@ -81,8 +87,8 @@ func Compute(root string) (*Schema, error) {
 			if !ok || !isCheckpointed(tn.Type()) {
 				continue
 			}
-			key := info.path + "." + tn.Name()
-			s.Types[key] = fingerprintType(l, info, tn, st)
+			key := pkg.Pkg.Path() + "." + tn.Name()
+			s.Types[key] = fingerprintType(l, pkg, tn, st)
 		}
 	}
 	return s, nil
@@ -90,12 +96,12 @@ func Compute(root string) (*Schema, error) {
 
 // checkpointVersion reads the Version constant out of the module's
 // checkpoint package, if it has one.
-func checkpointVersion(l *loader) (int64, bool) {
-	info, err := l.load(l.module + "/" + versionPackage)
+func checkpointVersion(l *analysis.Loader, module string) (int64, bool) {
+	pkg, err := l.Load(module + "/" + versionPackage)
 	if err != nil {
 		return 0, false
 	}
-	c, ok := info.pkg.Scope().Lookup("Version").(*types.Const)
+	c, ok := pkg.Pkg.Scope().Lookup("Version").(*types.Const)
 	if !ok {
 		return 0, false
 	}
@@ -120,10 +126,10 @@ func isCheckpointed(t types.Type) bool {
 
 // fingerprintType builds the canonical description of tn's serialized
 // fields and hashes it.
-func fingerprintType(l *loader, info *pkgInfo, tn *types.TypeName, st *types.Struct) TypeSchema {
-	excluded := excludedFields(info, tn, st)
+func fingerprintType(l *analysis.Loader, pkg *analysis.Package, tn *types.TypeName, st *types.Struct) TypeSchema {
+	excluded := excludedFields(pkg, tn, st)
 	var canon strings.Builder
-	fmt.Fprintf(&canon, "type %s.%s\n", info.path, tn.Name())
+	fmt.Fprintf(&canon, "type %s.%s\n", pkg.Pkg.Path(), tn.Name())
 	var fields []string
 	for i := 0; i < st.NumFields(); i++ {
 		fv := st.Field(i)
@@ -131,7 +137,7 @@ func fingerprintType(l *loader, info *pkgInfo, tn *types.TypeName, st *types.Str
 			continue
 		}
 		fields = append(fields, fv.Name()+" "+types.TypeString(fv.Type(), pkgPathQualifier))
-		fmt.Fprintf(&canon, "%s %s\n", fv.Name(), l.canonType(fv.Type(), map[*types.Named]bool{}))
+		fmt.Fprintf(&canon, "%s %s\n", fv.Name(), canonType(l, fv.Type(), map[*types.Named]bool{}))
 	}
 	sum := sha256.Sum256([]byte(canon.String()))
 	return TypeSchema{Fingerprint: hex.EncodeToString(sum[:]), Fields: fields}
@@ -143,25 +149,25 @@ func pkgPathQualifier(p *types.Package) string { return p.Path() }
 // types are expanded structurally (so nested field changes propagate
 // into every containing fingerprint), cycles fall back to the qualified
 // name, everything else uses the fully-qualified type string.
-func (l *loader) canonType(t types.Type, seen map[*types.Named]bool) string {
+func canonType(l *analysis.Loader, t types.Type, seen map[*types.Named]bool) string {
 	switch u := t.(type) {
 	case *types.Pointer:
-		return "*" + l.canonType(u.Elem(), seen)
+		return "*" + canonType(l, u.Elem(), seen)
 	case *types.Slice:
-		return "[]" + l.canonType(u.Elem(), seen)
+		return "[]" + canonType(l, u.Elem(), seen)
 	case *types.Array:
-		return fmt.Sprintf("[%d]%s", u.Len(), l.canonType(u.Elem(), seen))
+		return fmt.Sprintf("[%d]%s", u.Len(), canonType(l, u.Elem(), seen))
 	case *types.Map:
-		return fmt.Sprintf("map[%s]%s", l.canonType(u.Key(), seen), l.canonType(u.Elem(), seen))
+		return fmt.Sprintf("map[%s]%s", canonType(l, u.Key(), seen), canonType(l, u.Elem(), seen))
 	case *types.Named:
 		name := types.TypeString(u, pkgPathQualifier)
 		pkg := u.Obj().Pkg()
-		if pkg == nil || !l.inModule(pkg.Path()) || seen[u] {
+		if pkg == nil || !l.InTree(pkg.Path()) || seen[u] {
 			return name
 		}
 		st, ok := u.Underlying().(*types.Struct)
 		if !ok {
-			return name + "=" + l.canonType(u.Underlying(), seen)
+			return name + "=" + canonType(l, u.Underlying(), seen)
 		}
 		seen[u] = true
 		var b strings.Builder
@@ -174,7 +180,7 @@ func (l *loader) canonType(t types.Type, seen map[*types.Named]bool) string {
 			}
 			b.WriteString(fv.Name())
 			b.WriteString(" ")
-			b.WriteString(l.canonType(fv.Type(), seen))
+			b.WriteString(canonType(l, fv.Type(), seen))
 		}
 		b.WriteString("}")
 		delete(seen, u)
@@ -189,7 +195,7 @@ func (l *loader) canonType(t types.Type, seen map[*types.Named]bool) string {
 			}
 			b.WriteString(fv.Name())
 			b.WriteString(" ")
-			b.WriteString(l.canonType(fv.Type(), seen))
+			b.WriteString(canonType(l, fv.Type(), seen))
 		}
 		b.WriteString("}")
 		return b.String()
@@ -200,9 +206,9 @@ func (l *loader) canonType(t types.Type, seen map[*types.Named]bool) string {
 
 // excludedFields maps tn's fields that are annotated out of
 // serialization with //simlint:ok checkpointcov.
-func excludedFields(info *pkgInfo, tn *types.TypeName, st *types.Struct) map[*types.Var]bool {
+func excludedFields(pkg *analysis.Package, tn *types.TypeName, st *types.Struct) map[*types.Var]bool {
 	out := map[*types.Var]bool{}
-	for _, f := range info.files {
+	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
 			if !ok || ts.Name.Name != tn.Name() || ts.Name.Pos() != tn.Pos() {

@@ -149,22 +149,22 @@ func TestNestedStructChangePropagates(t *testing.T) {
 	}
 }
 
-// TestRepoGolden is the in-tree gate: the committed golden must match
-// the live schema, so `go test ./...` catches checkpoint-format drift
-// even without the vet wiring.
+// TestRepoGolden is the checkpoint-schema gate: the committed golden
+// must match the live schema, so `go test ./...` catches
+// checkpoint-format drift.
 func TestRepoGolden(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", "..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
-		t.Skipf("module root not found at %s", root)
+		t.Fatalf("module root not found at %s: %v", root, err)
 	}
 	cur, err := Compute(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden, err := Load(filepath.Join(root, "internal", "sim", "checkpoint", "testdata", "schema_golden.json"))
+	golden, err := Load(filepath.Join(root, filepath.FromSlash(GoldenPath)))
 	if err != nil {
 		t.Fatalf("golden missing — run `go run ./cmd/statefp -write`: %v", err)
 	}

@@ -55,7 +55,8 @@ func TestObsPure(t *testing.T) {
 
 func TestClockTaint(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.ClockTaint,
-		"internal/sim/clockrepro", // laundered time.Now into seed/key/branch/checkpoint
+		"internal/sim/clockrepro", // raw reads; laundered time.Now into seed/key/branch/checkpoint
+		"tools",                   // outside the guarded roots: must stay silent
 	)
 }
 

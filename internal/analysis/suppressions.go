@@ -3,7 +3,7 @@ package analysis
 import (
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"path"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -25,59 +25,43 @@ type Suppression struct {
 	Reason string
 }
 
-// ListSuppressions syntactically walks every non-test Go file under
-// root (skipping testdata, vendor, and hidden directories) and returns
-// its simlint annotations sorted by file and line. It parses comments
-// only — no type checking — so it runs anywhere, including on trees
-// that do not currently compile.
+// ListSuppressions syntactically walks every non-test Go file of the
+// packages under root (the Loader's package walk) and returns its
+// simlint annotations sorted by file and line. It parses comments only
+// — no type checking — so it runs anywhere, including on trees that do
+// not currently compile.
 func ListSuppressions(root string) ([]Suppression, error) {
-	var out []Suppression
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if p != root && (name == "testdata" || name == "vendor" ||
-				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(d.Name(), ".go") || strings.HasSuffix(d.Name(), "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.ParseComments)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, p)
-		if err != nil {
-			rel = p
-		}
-		rel = filepath.ToSlash(rel)
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimSpace(c.Text)
-				if !strings.HasPrefix(text, okPrefix) {
-					continue
-				}
-				fields := strings.Fields(strings.TrimPrefix(text, okPrefix))
-				s := Suppression{File: rel, Line: fset.Position(c.Pos()).Line, Analyzer: "?", Reason: "(missing)"}
-				if len(fields) > 0 {
-					s.Analyzer = fields[0]
-				}
-				if len(fields) > 1 {
-					s.Reason = strings.Join(fields[1:], " ")
-				}
-				out = append(out, s)
-			}
-		}
-		return nil
-	})
+	dirs, err := walkTree(root)
 	if err != nil {
 		return nil, err
+	}
+	var out []Suppression
+	fset := token.NewFileSet()
+	for _, d := range dirs {
+		for _, name := range d.files {
+			rel := path.Join(d.rel, name)
+			f, err := parser.ParseFile(fset, filepath.Join(root, rel), nil, parser.ParseComments)
+			if err != nil {
+				return nil, err
+			}
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					text := strings.TrimSpace(c.Text)
+					if !strings.HasPrefix(text, okPrefix) {
+						continue
+					}
+					fields := strings.Fields(strings.TrimPrefix(text, okPrefix))
+					s := Suppression{File: rel, Line: fset.Position(c.Pos()).Line, Analyzer: "?", Reason: "(missing)"}
+					if len(fields) > 0 {
+						s.Analyzer = fields[0]
+					}
+					if len(fields) > 1 {
+						s.Reason = strings.Join(fields[1:], " ")
+					}
+					out = append(out, s)
+				}
+			}
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].File != out[j].File {

@@ -8,7 +8,7 @@ import "time"
 type Time int64
 
 func Now() Time {
-	return Time(time.Now().UnixNano()) //simlint:ok globalrand audited wall-clock boundary (fixture)
+	return Time(time.Now().UnixNano()) //simlint:ok clocktaint audited wall-clock boundary (fixture)
 }
 
 func Since(t Time) time.Duration {

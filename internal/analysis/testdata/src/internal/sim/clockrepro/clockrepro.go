@@ -1,8 +1,8 @@
-// Package clockrepro seeds clock-laundering bugs for the clocktaint
-// analyzer: wall-clock reads washed through helper returns and struct
-// fields before reaching a rand seed, a memo key, control flow, and
-// checkpointed state. globalrand's call-site match sees only the
-// time.Now itself; catching these requires following the value.
+// Package clockrepro is the clocktaint fixture: raw wall-clock reads,
+// and clock-laundering bugs — wall-clock reads washed through helper
+// returns and struct fields before reaching a rand seed, a memo key,
+// control flow, and checkpointed state. A call-site match sees only the
+// time.Now itself; catching the flows requires following the value.
 package clockrepro
 
 import (
@@ -13,7 +13,7 @@ import (
 // stampNS launders the clock through a helper return: callers never
 // mention the time package.
 func stampNS() int64 {
-	return time.Now().UnixNano() //simlint:ok globalrand fixture source: clocktaint must catch the flows, not the read
+	return time.Now().UnixNano() //simlint:ok clocktaint fixture source: clocktaint must catch the flows, not the read
 }
 
 type Sampler struct {
@@ -51,6 +51,19 @@ func (w *Warm) LoadState() {}
 func (w *Warm) Mark() {
 	w.Stamp = stampNS() // want `stored into checkpointed field Stamp`
 }
+
+// stamp reads the wall clock.
+func stamp() int64 {
+	return time.Now().UnixNano() // want `time\.Now reads the wall clock`
+}
+
+// elapsed reads the wall clock through the Since shorthand.
+func elapsed(t0 time.Time) time.Duration {
+	return time.Since(t0) // want `time\.Since reads the wall clock`
+}
+
+// wallClock hands out the clock as a function value.
+var wallClock = time.Now // want `time\.Now reads the wall clock`
 
 // Deterministic uses stay silent: seeds from configuration, keys from
 // inputs.

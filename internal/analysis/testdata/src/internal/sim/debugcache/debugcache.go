@@ -4,13 +4,10 @@
 // in internal/sim/cache; every System mutated it, which was a data race
 // the moment the parallel Runner ran two simulations at once — found by
 // -race long after the code landed, moved into the System struct in
-// PR 5.
+// PR 5. (Wall-clock reads belong to clocktaint; see clockrepro.)
 package debugcache
 
-import (
-	"math/rand"
-	"time"
-)
+import "math/rand"
 
 // The DebugSharing pattern: package-global mutable state shared by
 // every concurrent simulation.
@@ -30,16 +27,6 @@ func Track(line uint64, core int) {
 // interleaves draws nondeterministically.
 func pickVictim(n int) int {
 	return rand.Intn(n) // want `uses the process-global generator`
-}
-
-// stamp reads the wall clock.
-func stamp() int64 {
-	return time.Now().UnixNano() // want `reads the wall clock`
-}
-
-// elapsed reads the wall clock through the Since shorthand.
-func elapsed(t0 time.Time) time.Duration {
-	return time.Since(t0) // want `reads the wall clock`
 }
 
 // seededVictim is the approved pattern: a constructor builds a seeded

@@ -13,7 +13,7 @@
 // obs job gate that property.
 //
 // Wall-clock reads are banned everywhere else in the simulator tree
-// (the globalrand analyzer enforces it: simulated time lives in cycle
+// (the clocktaint analyzer enforces it: simulated time lives in cycle
 // counters). This package is the single audited exception — every
 // time.Now/time.Since call here carries a //simlint:ok suppression, and
 // internal/obs is inside the analyzer's scope precisely so that any new
@@ -38,12 +38,12 @@ type Time = time.Time
 // callers use it exclusively for observer-side durations that never
 // feed back into simulation.
 func Now() Time {
-	return time.Now() //simlint:ok globalrand obs is the audited wall-clock boundary; durations never feed back into simulation
+	return time.Now() //simlint:ok clocktaint obs is the audited wall-clock boundary; durations never feed back into simulation
 }
 
 // Since returns the wall-clock time elapsed since t.
 func Since(t Time) time.Duration {
-	return time.Since(t) //simlint:ok globalrand obs is the audited wall-clock boundary; durations never feed back into simulation
+	return time.Since(t) //simlint:ok clocktaint obs is the audited wall-clock boundary; durations never feed back into simulation
 }
 
 // Observer bundles one process's observability state: the metrics
@@ -89,5 +89,5 @@ func (o *Observer) Tracer() *Tracer {
 // internal monotonic clock, used for both phase attribution and trace
 // timestamps so metrics and spans line up exactly.
 func (o *Observer) stamp() int64 {
-	return int64(time.Since(o.tracer.epoch)) //simlint:ok globalrand obs is the audited wall-clock boundary; durations never feed back into simulation
+	return int64(time.Since(o.tracer.epoch)) //simlint:ok clocktaint obs is the audited wall-clock boundary; durations never feed back into simulation
 }

@@ -60,7 +60,7 @@ type Tracer struct {
 
 func newTracer() *Tracer {
 	t := &Tracer{
-		epoch: time.Now(), //simlint:ok globalrand obs is the audited wall-clock boundary; the epoch anchors trace timestamps only
+		epoch: time.Now(), //simlint:ok clocktaint obs is the audited wall-clock boundary; the epoch anchors trace timestamps only
 	}
 	t.events = append(t.events, traceEvent{
 		Name: "process_name", Ph: "M", PID: tracePID,

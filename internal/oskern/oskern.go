@@ -53,8 +53,8 @@ type Kernel struct {
 	skbNext  atomic.Uint64
 	rings    []addrspace.Array //simlint:ok checkpointcov construction-time allocation geometry
 	ringCur  []atomic.Uint64
-	stats    uint64   //simlint:ok checkpointcov construction-time allocation address
-	nicTail  []uint64 //simlint:ok checkpointcov construction-time allocation addresses
+	stats    uint64          //simlint:ok checkpointcov construction-time allocation address
+	nicTail  []uint64        //simlint:ok checkpointcov construction-time allocation addresses
 	sockHash addrspace.Array //simlint:ok checkpointcov construction-time allocation geometry
 	runq     addrspace.Array //simlint:ok checkpointcov construction-time allocation geometry
 	pgCache  addrspace.Array //simlint:ok checkpointcov construction-time allocation geometry
